@@ -23,7 +23,16 @@ from .numtheory import (
     p_adic_length,
     require_odd_prime,
 )
-from .tabloid import Element, inclusion_stack, psi, psi_int, Partition2, subsets_colex, mask_from_members
+from .tabloid import (
+    Element,
+    Partition2,
+    inclusion_stack,
+    mask_from_members,
+    psi,
+    psi_int,
+    psi_levels,
+    subsets_colex,
+)
 
 __all__ = [
     "DesignParams",
@@ -81,6 +90,26 @@ class Spectrum:
     def some_nonzero(self) -> bool:
         return any(mu not in (0, None) for mu in self.levels)
 
+    def is_multiple_of(self, other: "Spectrum") -> bool:
+        """Whether self = c * other for some scalar c mod p.
+
+        False when self is not universal; other must be universal.
+        """
+        if not self.universal:
+            return False
+        p = self.p
+        c = None
+        for mu, nu in zip(self.levels, other.levels):
+            if nu:
+                cand = mu * pow(nu, p - 2, p) % p
+                if c is None:
+                    c = cand
+                elif c != cand:
+                    return False
+            elif mu:
+                return False
+        return True  # c None means other is zero, forcing self to be zero too
+
     def to_json(self) -> dict:
         out = []
         for v, mu in enumerate(self.levels):
@@ -102,7 +131,8 @@ def constant_value(arr) -> int | None:
 
 def spectrum(u: Element) -> Spectrum:
     """Spectrum of u across levels 0..b-1."""
-    return Spectrum(u.p, tuple(constant_value(psi(u, v)) for v in range(u.b)))
+    levels = psi_levels(u.n, u.b, u.vec)[:-1]
+    return Spectrum(u.p, tuple(constant_value(w % u.p) for w in levels))
 
 
 def is_t_design(u: Element, t: int) -> bool:
@@ -124,18 +154,7 @@ def similar(u: Element, w: Element) -> bool:
         raise ValueError("similarity compares universal designs only")
     if u.p != w.p:
         raise ValueError("modulus mismatch")
-    p = u.p
-    alpha = None
-    for mu, mw in zip(su.levels, sw.levels):
-        if mw:
-            cand = mu * pow(mw, p - 2, p) % p
-            if alpha is None:
-                alpha = cand
-            elif alpha != cand:
-                return False
-        elif mu:
-            return False
-    return True  # alpha None means w's spectrum is zero, forcing u's too
+    return su.is_multiple_of(sw)
 
 
 def coefficient_transfer(mu_t: int, params: DesignParams, j: int) -> int:
@@ -258,10 +277,9 @@ def construct_integral_design(g: int, b: int, t: int, mu) -> IntegerDesign | Non
     if x is None:
         return None
     design = IntegerDesign(g, b, tuple(x))
-    for s in range(t + 1):
-        vals = design.hat_values(s)
-        if any(v != mus[s] for v in vals):
-            raise AssertionError("integral design failed its level check")
+    levels = psi_levels(g, b, np.array(design.coeffs, dtype=object))
+    if any((levels[s] != mus[s]).any() for s in range(t + 1)):
+        raise AssertionError("integral design failed its level check")
     return design
 
 

@@ -55,24 +55,6 @@ def _f_spectrum(a: int, b: int, p: int) -> Spectrum:
     return Spectrum(p, tuple(binom_mod_p(n - v, b - v, p) for v in range(b)))
 
 
-def _proportional(s: Spectrum, t: Spectrum) -> bool:
-    """Whether s = c * t for some scalar c. t must be universal."""
-    if not s.universal:
-        return False
-    p = s.p
-    c = None
-    for mu_s, mu_t in zip(s.levels, t.levels):
-        if mu_t:
-            cand = mu_s * pow(mu_t, p - 2, p) % p
-            if c is None:
-                c = cand
-            elif c != cand:
-                return False
-        elif mu_s:
-            return False
-    return True
-
-
 @dataclass(frozen=True, slots=True)
 class HemmerReport:
     """Verification of the three defining conditions for one element."""
@@ -111,7 +93,7 @@ def verify_hemmer(u: Element) -> HemmerReport:
         u.a, u.b, u.p, s,
         condition1=s.universal,
         some_level_nonzero=s.some_nonzero,
-        condition2=not _proportional(s, _f_spectrum(u.a, u.b, u.p)),
+        condition2=not s.is_multiple_of(_f_spectrum(u.a, u.b, u.p)),
     )
 
 
@@ -325,7 +307,7 @@ def find_hemmer_by_solver(a: int, b: int, p: int, budget: int = 4000) -> Element
     sf = _f_spectrum(a, b, p)
     for k in kernel_basis_fp(MatFp(aug, p)):
         s = Spectrum(p, tuple(int(x) for x in k[ncols:]))
-        if not _proportional(s, sf):
+        if not s.is_multiple_of(sf):
             u = Element(n, b, p, k[:ncols])
             rep = verify_hemmer(u)
             if not rep.is_hemmer:

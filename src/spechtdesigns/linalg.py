@@ -2,7 +2,7 @@
 
 GF(p) matrices hold word-sized residues in numpy arrays; elimination is
 vectorised row arithmetic followed by a reduction mod p, so no intermediate
-ever leaves machine range (entries < p <= a few thousand, p^2 << 2^63).
+ever leaves machine range (p < 2^31, so p^2 + p < 2^63).
 Integer solving works on arbitrary-precision Python ints via a column
 echelon form built from unimodular column operations; nothing here ever
 touches floating point.
@@ -29,13 +29,20 @@ __all__ = [
 ]
 
 
+def _require_word_prime(p: int) -> int:
+    """Validate an odd prime p < 2^31, so int64 products of residues stay exact."""
+    if isinstance(p, int) and p >= 1 << 31:
+        raise ValueError(f"modulus {p} is too large for int64 residues; need p < 2^31")
+    return require_odd_prime(p)
+
+
 class MatFp:
     """Matrix over GF(p); entries are int64 residues in [0, p)."""
 
     __slots__ = ("entries", "p")
 
     def __init__(self, entries, p: int):
-        require_odd_prime(p)
+        _require_word_prime(p)
         arr = np.asarray(entries, dtype=np.int64)
         if arr.ndim != 2:
             raise ValueError(f"expected a 2-d matrix, got shape {arr.shape}")
@@ -45,14 +52,6 @@ class MatFp:
     @property
     def shape(self) -> tuple[int, int]:
         return self.entries.shape
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int, p: int) -> "MatFp":
-        return cls(np.zeros((rows, cols), dtype=np.int64), p)
-
-    @classmethod
-    def identity(cls, n: int, p: int) -> "MatFp":
-        return cls(np.eye(n, dtype=np.int64), p)
 
     def __matmul__(self, other: "MatFp") -> "MatFp":
         if self.p != other.p:
@@ -146,8 +145,15 @@ def kernel_basis_fp(a: MatFp) -> list[np.ndarray]:
     only on pivot columns.
     """
     m, pivots = _eliminate(a.entries.copy(), a.p, full=True)
-    p = a.p
-    cols = a.shape[1]
+    return _kernel_from_rref(m, pivots, a.shape[1], a.p)
+
+
+def _kernel_from_rref(m: np.ndarray, pivots: list[int], cols: int, p: int) -> list[np.ndarray]:
+    """Kernel basis of the first `cols` columns of an RREF with these pivots.
+
+    Vector k for free column f has k[f] = 1, k[c] = -m[i, f] for the i-th
+    pivot column c, and zero elsewhere.
+    """
     pivot_set = set(pivots)
     basis = []
     for f in range(cols):
@@ -155,9 +161,7 @@ def kernel_basis_fp(a: MatFp) -> list[np.ndarray]:
             continue
         v = np.zeros(cols, dtype=np.int64)
         v[f] = 1
-        for i, c in enumerate(pivots):
-            if m[i, f]:
-                v[c] = (-int(m[i, f])) % p
+        v[pivots] = -m[: len(pivots), f] % p
         basis.append(v)
     return basis
 
@@ -201,18 +205,7 @@ def solve_affine_fp(a: MatFp, rhs, want_kernel: bool = False) -> AffineSolution:
         particular = np.zeros(cols, dtype=np.int64)
         for i, c in enumerate(a_pivots):
             particular[c] = m[i, cols]
-    basis = []
-    if want_kernel:
-        pivot_set = set(a_pivots)
-        for f in range(cols):
-            if f in pivot_set:
-                continue
-            v = np.zeros(cols, dtype=np.int64)
-            v[f] = 1
-            for i, c in enumerate(a_pivots):
-                if m[i, f]:
-                    v[c] = (-int(m[i, f])) % p
-            basis.append(v)
+    basis = _kernel_from_rref(m, a_pivots, cols, p) if want_kernel else []
     return AffineSolution(particular=particular, kernel=tuple(basis))
 
 

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 __all__ = [
-    "PrimeModulus",
     "Digits",
     "require_odd_prime",
     "digits_base_p",
@@ -47,16 +46,6 @@ def require_odd_prime(p: int) -> int:
     if p < 3 or not _is_prime(p):
         raise ValueError(f"modulus must be a prime >= 3, got {p}")
     return p
-
-
-@dataclass(frozen=True, slots=True)
-class PrimeModulus:
-    """An odd prime modulus, validated at construction."""
-
-    p: int
-
-    def __post_init__(self) -> None:
-        require_odd_prime(self.p)
 
 
 @dataclass(frozen=True, slots=True)

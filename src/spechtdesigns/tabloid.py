@@ -6,10 +6,11 @@ colexicographic order, which on fixed-size subsets coincides with numeric
 order of the masks. Vectors of coefficients are indexed by that order.
 
 psi_v sends a b-subset to the formal sum of its v-subsets. Its matrix is
-the 0/1 inclusion matrix of v-subsets into b-subsets. The implementation
-walks down one level at a time (delete a single element), which computes
-(b-v)! times psi_v over the integers, then divides exactly; this keeps the
-inner loop vectorised and works uniformly for the integer-valued variant.
+the 0/1 inclusion matrix W_{v,b} of v-subsets into b-subsets. One walk
+from level b down computes every level: a step deletes a single element
+from each k-subset, and since W_{k-1,k} W_{k,b} = (b-k+1) W_{k-1,b}, an
+exact division by b-k+1 turns psi_k into psi_(k-1). The inner loop stays
+vectorised and works on int64 and Python-int entries alike.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .linalg import MatFp, MatZ, rank_fp
+from .linalg import MatFp, MatZ, _require_word_prime, rank_fp
 from .numtheory import all_binoms_divisible, require_odd_prime
 
 __all__ = [
@@ -35,6 +36,7 @@ __all__ = [
     "f_lambda",
     "psi",
     "psi_int",
+    "psi_levels",
     "inclusion_matrix",
     "inclusion_stack",
     "specht_membership",
@@ -131,7 +133,7 @@ class Element:
     __slots__ = ("n", "b", "p", "vec")
 
     def __init__(self, n: int, b: int, p: int, vec):
-        require_odd_prime(p)
+        _require_word_prime(p)
         if not 1 <= b <= n <= _MAX_GROUND:
             raise ValueError(f"need 1 <= b <= n <= {_MAX_GROUND}, got n={n}, b={b}")
         arr = np.asarray(vec, dtype=np.int64) % p
@@ -230,11 +232,11 @@ def _drop_once(n: int, k: int, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def psi_int(n: int, b: int, vec, v: int) -> np.ndarray:
-    """psi_v over the integers: entry Y is sum of vec[X] over X containing Y.
+def psi_levels(n: int, b: int, vec, v: int = 0) -> list[np.ndarray]:
+    """psi_k over the integers for every level k = v..b, from one walk down.
 
-    Walks down one level at a time, accumulating (b-v)! * psi_v, then
-    divides exactly. Switches to Python-int entries when the int64 bound
+    Entry k - v of the returned list is psi_k(vec); the last entry is vec
+    itself. Entries are Python ints (object dtype) when the int64 bound
     would not hold.
     """
     if not 0 <= v <= b:
@@ -242,37 +244,34 @@ def psi_int(n: int, b: int, vec, v: int) -> np.ndarray:
     w = np.asarray(vec)
     if w.shape != (math.comb(n, b),):
         raise ValueError("coefficient vector has the wrong length")
-    maxabs = max((abs(int(x)) for x in w), default=0)
-    # worst intermediate magnitude: (b-v)! * C(n-v, b-v) * maxabs
-    bound = math.factorial(b - v) * math.comb(n - v, b - v) * max(maxabs, 1)
-    dtype = np.int64 if bound < 2**62 else object
-    w = w.astype(dtype)
+    # exact on Python ints: np.abs would wrap at the int64 minimum
+    maxabs = max(abs(int(w.max())), abs(int(w.min()))) if w.size else 0
+    # largest intermediate: level k-1 before dividing by b-k+1, at most
+    # (b-k+1) * C(n-k+1, b-k+1) * maxabs <= b * C(n, b) * maxabs; it peaks at k = v+1
+    bound = max(b - v, 1) * math.comb(n - v, b - v) * max(maxabs, 1)
+    w = w.astype(np.int64 if bound < 2**62 else object)
+    out = [w]
     for k in range(b, v, -1):
-        w = _drop_once(n, k, w)
-    fact = math.factorial(b - v)
-    if fact > 1:
-        if w.dtype == object:
-            pairs = [divmod(int(x), fact) for x in w]
-            if any(r for _, r in pairs):
-                raise AssertionError("inexact division in psi cascade")
-            w = np.array([q for q, _ in pairs], dtype=object)
-        else:
-            q, r = np.divmod(w, fact)
-            if np.count_nonzero(r):
-                raise AssertionError("inexact division in psi cascade")
-            w = q
-    return w
+        d = _drop_once(n, k, w)
+        c = b - k + 1
+        if np.count_nonzero(d % c):
+            raise AssertionError("inexact division in psi cascade")
+        w = d // c
+        out.append(w)
+    out.reverse()
+    return out
+
+
+def psi_int(n: int, b: int, vec, v: int) -> np.ndarray:
+    """psi_v over the integers: entry Y is sum of vec[X] over X containing Y."""
+    return psi_levels(n, b, vec, v)[0]
 
 
 def psi(u: Element, v: int) -> np.ndarray:
     """psi_v(u) over GF(p), as a coefficient vector on colex v-subsets."""
     if not 0 <= v <= u.b:
         raise ValueError(f"need 0 <= v <= {u.b}, got {v}")
-    w = psi_int(u.n, u.b, u.vec, v)
-    if w.dtype == object:
-        w = np.array([int(x) % u.p for x in w], dtype=np.int64)
-        return w
-    return w % u.p
+    return (psi_int(u.n, u.b, u.vec, v) % u.p).astype(np.int64, copy=False)
 
 
 def _inclusion_array(n: int, i: int, b: int) -> np.ndarray:
@@ -314,8 +313,8 @@ def inclusion_stack(n: int, b: int, levels: Iterable[int]) -> tuple[np.ndarray, 
 
 
 def specht_membership(u: Element) -> bool:
-    """Whether psi_v(u) = 0 for every level v = 0..b-1."""
-    return all(not psi(u, v).any() for v in range(u.b))
+    """Whether psi_v(u) = 0 mod p for every level v = 0..b-1."""
+    return not any((w % u.p).any() for w in psi_levels(u.n, u.b, u.vec)[:-1])
 
 
 def specht_dim(a: int, b: int, p: int) -> int:

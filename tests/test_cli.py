@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import spechtdesigns
 from spechtdesigns.cli import main
 from spechtdesigns.hemmer import SelfCheckError
 
@@ -95,6 +97,19 @@ def test_verify_bad_file_exits_2(tmp_path, capsys):
     ]}))
     rc, _, err = run_cli(capsys, "verify", "--file", str(schema))
     assert rc == 2 and "ascending" in err
+
+
+def test_verify_word_size_prime_exits_2(tmp_path, capsys):
+    big = 4294967311  # the least prime above 2^32; big^2 overflows int64
+    doc = tmp_path / "big.json"
+    doc.write_text(json.dumps({"p": big, "a": 2, "b": 1, "entries": [
+        {"set": [1], "coeff": big - 2}
+    ]}))
+    rc, _, err = run_cli(capsys, "verify", "--file", str(doc))
+    assert rc == 2 and "2^31" in err
+    # the digit arithmetic behind classify has no word-size limit
+    rc, out, _ = run_cli(capsys, "classify", "--a", "3", "--b", "3", "--p", str(big))
+    assert rc == 0 and json.loads(out)["kind"] == "neither"
 
 
 def test_design_fp(capsys):
@@ -189,6 +204,7 @@ def test_module_entry_point():
         [sys.executable, "-m", "spechtdesigns.cli",
          "classify", "--a", "8", "--b", "3", "--p", "3"],
         capture_output=True, text=True,
+        cwd=Path(spechtdesigns.__file__).parent.parent,  # finds the package uninstalled
     )
     assert r.returncode == 0
     assert json.loads(r.stdout)["kind"] == "james"

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from spechtdesigns import tabloid
 from spechtdesigns.designs import (
     DesignParams,
     IntegerDesign,
@@ -11,6 +12,7 @@ from spechtdesigns.designs import (
     coefficient_transfer,
     constant_level_system,
     constant_space_dim,
+    constant_value,
     construct_integral_design,
     find_t_design_fp,
     integral_design_exists,
@@ -31,6 +33,7 @@ from spechtdesigns.tabloid import (
     inclusion_matrix,
     inclusion_stack,
     psi,
+    specht_membership,
 )
 
 BIG_PRIME = 10007
@@ -102,6 +105,49 @@ def test_spectrum_linearity():
         for x, y, z in zip(su.levels, sw.levels, ss.levels):
             if x is not None and y is not None:
                 assert z == (alpha * x + y) % p
+
+
+def test_spectrum_matches_inclusion_matrices():
+    rng = np.random.default_rng(31)
+    for n in range(1, 9):
+        for b in range(1, n + 1):
+            for p in (3, 5):
+                cases = [(Element(n, b, p, rng.integers(0, p, size=math.comb(n, b))), False)]
+                if 2 * b <= n:
+                    # f plus strength-(b-1) null designs: every level constant
+                    vec = np.ones(math.comb(n, b), dtype=np.int64)
+                    for _ in range(3):
+                        pts = [int(x) for x in rng.permutation(n)[: 2 * b] + 1]
+                        gen = null_design_generator(n, b, b - 1, list(zip(pts[::2], pts[1::2])))
+                        vec = vec + int(rng.integers(1, p)) * np.array(gen.coeffs)
+                    cases.append((Element(n, b, p, vec), True))
+                for u, universal in cases:
+                    want = tuple(
+                        constant_value(inclusion_matrix(n, v, b, p).apply(u.vec))
+                        for v in range(b)
+                    )
+                    s = spectrum(u)
+                    assert s.levels == want
+                    if universal:
+                        assert s == spectrum(f_lambda(n - b, b, p))
+
+
+def test_one_walk_per_element(monkeypatch):
+    calls = []
+    drop = tabloid._drop_once
+
+    def counting(n, k, w):
+        calls.append(k)
+        return drop(n, k, w)
+
+    monkeypatch.setattr(tabloid, "_drop_once", counting)
+    rng = np.random.default_rng(37)
+    for n, b, p in [(6, 3, 3), (9, 4, 5), (10, 5, 3)]:
+        u = Element(n, b, p, rng.integers(0, p, size=math.comb(n, b)))
+        for f in (spectrum, specht_membership):
+            calls.clear()
+            f(u)
+            assert calls == list(range(b, 0, -1))
 
 
 def test_similar():

@@ -42,6 +42,14 @@ def test_matmul_matches_numpy_small():
         assert np.array_equal(got, (a @ b) % p)
 
 
+def test_word_size_prime_guard():
+    with pytest.raises(ValueError):
+        MatFp([[1]], 4294967311)  # the least prime above 2^32
+    p = 2**31 - 1  # the largest prime the guard admits
+    got = MatFp([[p - 1, p - 1]], p) @ MatFp([[p - 1], [p - 1]], p)
+    assert got.entries.tolist() == [[2]]
+
+
 def test_rank_examples():
     assert rank_fp(MatFp([[1, 2], [2, 4]], 3)) == 1  # second row is twice the first
     assert rank_fp(MatFp([[1, 0], [0, 1]], 3)) == 2
@@ -77,6 +85,13 @@ def test_kernel_basis_properties():
             assert not m.apply(v).any()
         if basis:
             assert rank_fp(MatFp(np.array(basis), p)) == len(basis)
+        # canonical form: one vector per free column f, 1 at f, 0 at the other frees
+        pivots = [c for c in range(cols)
+                  if rank_fp_prefix(m, c + 1)[1] > rank_fp_prefix(m, c)[1]]
+        free = [f for f in range(cols) if f not in pivots]
+        assert [v[free].tolist() for v in basis] == np.eye(len(free), dtype=int).tolist()
+        affine = solve_affine_fp(m, np.zeros(rows), want_kernel=True).kernel
+        assert [v.tolist() for v in affine] == [v.tolist() for v in basis]
 
 
 def test_affine_solution_against_enumeration():

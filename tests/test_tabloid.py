@@ -22,6 +22,7 @@ from spechtdesigns.tabloid import (
     members_from_mask,
     psi,
     psi_int,
+    psi_levels,
     specht_dim,
     specht_membership,
     subsets_colex,
@@ -91,6 +92,15 @@ def test_element_arithmetic():
     assert list(u.support()) == [((1, 2), 1), ((3, 4), 2)]
 
 
+def test_element_word_size_prime():
+    with pytest.raises(ValueError):
+        Element(3, 1, 4294967311, [1, 2, 3])  # the least prime above 2^32
+    p = 2**31 - 1
+    u = Element(3, 1, p, [p - 1] * 3)
+    assert ((p - 2) * u).vec.tolist() == [2] * 3
+    assert ((p - 1) * u).vec.tolist() == [1] * 3
+
+
 def test_element_validation():
     with pytest.raises(ValueError):
         Element(4, 2, 3, [1, 2, 3])  # wrong length
@@ -142,22 +152,32 @@ def test_psi_int_matches_inclusion_matrix():
     for n in range(1, 9):
         for b in range(1, n + 1):
             vec = rng.integers(-9, 10, size=math.comb(n, b))
+            levels = psi_levels(n, b, vec)
+            assert len(levels) == b + 1 and levels[b].tolist() == vec.tolist()
             for v in range(b):
                 direct = np.array(
                     inclusion_matrix(n, v, b).apply(vec.tolist()), dtype=object
                 )
                 got = psi_int(n, b, vec, v)
                 assert [int(x) for x in got] == [int(x) for x in direct]
+                assert levels[v].tolist() == got.tolist()
 
 
 def test_psi_int_object_dtype_path():
-    # huge coefficients force the arbitrary-precision branch
-    n, b = 6, 3
-    vec = [10**18] * math.comb(n, b)
-    got = psi_int(n, b, vec, 1)
-    direct = inclusion_matrix(n, 1, b).apply(vec)
-    assert [int(x) for x in got] == direct
-    assert got.dtype == object
+    # huge coefficients force the arbitrary-precision branch at every level
+    for n, b in [(6, 3), (8, 5)]:
+        size = math.comb(n, b)
+        big = [(-1) ** i * (10**20 + i) for i in range(size)]
+        # the int64 minimum: its np.abs wraps negative, which would pick int64
+        low = np.array([-(2**63)] + [0] * (size - 1), dtype=np.int64)
+        for vec in (big, low):
+            exact = [int(x) for x in vec]
+            for v in range(b):
+                got = psi_int(n, b, vec, v)
+                assert [int(x) for x in got] == inclusion_matrix(n, v, b).apply(exact)
+                assert got.dtype == object
+    # the last step's undivided value, 3 * 20 * 2e17, passes 2^63 though psi_0 does not
+    assert psi_int(6, 3, [2 * 10**17] * 20, 0).tolist() == [4 * 10**18]
 
 
 def test_psi_reduces_mod_p():
