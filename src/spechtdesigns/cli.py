@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands map one-to-one onto library entry points and print JSON
-(CSV for survey). Exit codes: 0 success, 2 invalid input, 1 a
-constructed object failed its own verification.
+(CSV for survey). Exit codes: 0 success, 2 invalid input or an input
+too large to hold in memory, 1 a constructed object failed its own
+verification.
 """
 
 from __future__ import annotations
@@ -192,6 +193,9 @@ def main(argv=None) -> int:
         return 1
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
     return 0
 

@@ -138,9 +138,11 @@ def brute_force_h1(a: int, b: int, p: int, budget: int = 4000) -> H1Report:
         raise ValueError(
             f"C({n}, {b}) = {ncols} exceeds the budget of {budget} columns"
         )
-    aug = constant_level_system(n, b, range(b))
-    total, prefix = rank_fp_prefix(MatFp(aug, p), ncols)
-    dim_D = aug.shape[1] - total
+    # the raw system is dropped once reduced mod p: only one copy and the
+    # elimination's working copy are alive while it runs
+    system = MatFp(constant_level_system(n, b, range(b)), p)
+    total, prefix = rank_fp_prefix(system, ncols)
+    dim_D = system.shape[1] - total
     dim_S = ncols - prefix
     f_in_S = specht_membership(f_lambda(a, b, p))
     if f_in_S != james_check((a, b), p):

@@ -1,11 +1,15 @@
 """Exact dense linear algebra over GF(p) and over the integers.
 
-GF(p) matrices hold word-sized residues in numpy arrays; elimination is
-vectorised row arithmetic followed by a reduction mod p, so no intermediate
-ever leaves machine range (p < 2^31, so p^2 + p < 2^63).
+GF(p) matrices hold word-sized residues (p < 2^31) in numpy int64 arrays.
+One blocked echelon core serves rank, kernel and affine solve: pivots are
+found per column inside a panel, and the rest of the matrix receives the
+panel's row operations as matrix products. Those products run in float64
+BLAS only on chunks whose integer dot products are proven below 2^53, where
+float64 is exact, and in int64 otherwise; the bound is asserted where the
+product is taken. So there is no inexact arithmetic: float64 never holds a
+value it cannot represent.
 Integer solving works on arbitrary-precision Python ints via a column
-echelon form built from unimodular column operations; nothing here ever
-touches floating point.
+echelon form built from unimodular column operations.
 """
 
 from __future__ import annotations
@@ -75,47 +79,185 @@ class MatFp:
         return f"MatFp(shape={self.shape}, p={self.p})"
 
 
-def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    # block the inner dimension so the int64 accumulator cannot overflow:
-    # each partial product is < p^2, so p^2 * block must stay below 2^63
-    block = max(1, (1 << 62) // (p * p))
-    if a.shape[1] <= block:
-        return (a @ b) % p
-    acc = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for lo in range(0, a.shape[1], block):
-        hi = lo + block
-        acc = (acc + a[:, lo:hi] @ b[lo:hi]) % p
-    return acc
+# Columns per elimination panel; 256 measured fastest on the sweep systems.
+_PANEL = 256
+# Bytes of float64 temporaries per column slab of one modular product.
+_SLAB_BYTES = 2 << 20
+# float64 represents every integer below 2^53 exactly.
+_FLOAT_EXACT = 1 << 53
+_INT64_MAX = (1 << 63) - 1
+
+
+def _float_chunk(p: int) -> int:
+    """Longest inner dimension k with k (p-1)^2 + p < 2^53, or 0 if none."""
+    return max(0, (_FLOAT_EXACT - 1 - p) // ((p - 1) ** 2))
+
+
+def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int, out: np.ndarray | None = None,
+                rows=slice(None)) -> np.ndarray:
+    """Exact out[rows] = (out[rows] + a @ b) mod p for residue matrices.
+
+    out is updated in place and returned; without it the product alone is.
+    b may share memory with out: each slab of b is copied before out is
+    written.
+
+    Entries of a, b and out lie in [0, p). Every partial sum of a dot
+    product is then a nonnegative integer no larger than the whole, so a
+    dot product of length k is exact in float64 while k (p-1)^2 + p < 2^53.
+    The inner dimension is cut into chunks that meet that bound, and the
+    int64 accumulator is reduced mod p after each. Primes too large for a
+    single float64 term take the same route with int64 products, which
+    numpy computes without BLAS. Columns go in slabs, so temporaries stay
+    O(rows x slab).
+    """
+    if out is None:
+        out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    chunk, dtype = _float_chunk(p), np.float64
+    if chunk == 0:
+        chunk, dtype = (_INT64_MAX - p) // ((p - 1) ** 2), np.int64
+    a = a.astype(dtype, copy=False)
+    inner = a.shape[1]
+    width = max(1, _SLAB_BYTES // (8 * max(a.shape[0], inner, 1)))
+    for s0 in range(0, b.shape[1], width):
+        cols = slice(s0, s0 + width)
+        bs = b[:, cols].astype(dtype)
+        acc = out[rows, cols]
+        for lo in range(0, inner, chunk):
+            hi = min(lo + chunk, inner)
+            if dtype is np.float64:
+                assert (hi - lo) * (p - 1) ** 2 + p < _FLOAT_EXACT, "inexact float64 product"
+            np.add(acc, a[:, lo:hi] @ bs[lo:hi], out=acc, casting="unsafe")
+            _reduce(acc, p)
+        out[rows, cols] = acc
+    return out
+
+
+def _reduce(x: np.ndarray, p: int) -> np.ndarray:
+    """Reduce x mod p in place and return it."""
+    # numpy's floor division by a scalar is several times faster than its remainder
+    q = x // p
+    q *= p
+    x -= q
+    return x
 
 
 def _eliminate(m: np.ndarray, p: int, full: bool) -> tuple[np.ndarray, list[int]]:
-    """Row reduce in place. full=True gives RREF, else forward echelon only."""
+    """Row reduce in place. full=True gives RREF, else forward echelon only.
+
+    Columns are taken in panels of _PANEL. Inside a panel the pivots are
+    found one at a time as in plain Gaussian elimination, but only the
+    panel's columns are updated; the rest of the rows then receive every
+    row operation of the panel as two matrix products. Pivot choice (the
+    first nonzero row at or below the current one) is the plain one, so
+    the pivots and the reduced matrix are exactly those of per-pivot
+    elimination.
+    """
     rows, cols = m.shape
     pivots: list[int] = []
     r = 0
-    for c in range(cols):
+    for c0 in range(0, cols, _PANEL):
         if r == rows:
             break
-        nz = np.nonzero(m[r:, c])[0]
+        c1 = min(c0 + _PANEL, cols)
+        pc, inv, f = _factor_panel(m, p, r, c0, c1)
+        if pc and c1 < cols:
+            _update_trailing(m, p, r, f, inv, c1)
+        pivots += [c0 + c for c in pc]
+        r += len(pc)
+    if full:
+        _back_substitute(m, p, pivots)
+    return m, pivots
+
+
+def _factor_panel(m: np.ndarray, p: int, r0: int, c0: int, c1: int):
+    """Eliminate m[r0:, c0:c1] per pivot.
+
+    Returns the local pivot columns, the pivot inverses and the multipliers
+    F, one column per pivot: F[i, j] is what pivot j subtracted from row
+    r0 + i. As in LU, row operations touch only columns right of the
+    pivot, so each multiplier stays below its pivot until it is read out
+    here. Only columns that are nonzero below r0 at the start can hold a
+    pivot.
+    """
+    panel = m[r0:, c0:c1]
+    pc: list[int] = []
+    inv: list[int] = []
+    for c in np.flatnonzero(panel.any(axis=0)).tolist():
+        r = len(pc)
+        if r0 + r == m.shape[0]:
+            break
+        nz = np.flatnonzero(panel[r:, c])
         if nz.size == 0:
             continue
-        pr = r + int(nz[0])
-        if pr != r:
-            m[[r, pr]] = m[[pr, r]]
-        inv = pow(int(m[r, c]), p - 2, p)
-        if inv != 1:
-            m[r] = m[r] * inv % p
-        if full:
-            col = m[:, c].copy()
-            col[r] = 0
-            tgt = np.nonzero(col)[0]
-        else:
-            tgt = r + 1 + np.nonzero(m[r + 1 :, c])[0]
+        if nz[0]:
+            pr = r0 + r + int(nz[0])
+            m[[r0 + r, pr], c0:] = m[[pr, r0 + r], c0:]
+        s = pow(int(panel[r, c]), p - 2, p)
+        panel[r, c:] = _reduce(panel[r, c:] * s, p)
+        # the old row r, now at the first nonzero's place, is zero in column c
+        tgt = r + nz[1:]
         if tgt.size:
-            m[tgt] = (m[tgt] - np.outer(m[tgt, c], m[r])) % p
-        pivots.append(c)
-        r += 1
-    return m, pivots
+            panel[tgt, c + 1 :] = _reduce(panel[tgt, c + 1 :] - np.outer(panel[tgt, c], panel[r, c + 1 :]), p)
+        pc.append(c)
+        inv.append(s)
+    f = panel[:, pc]
+    # echelon form: zero below each pivot
+    panel[: len(pc), pc] = np.triu(f[: len(pc)])
+    panel[len(pc) :, pc] = 0
+    return pc, inv, f
+
+
+def _update_trailing(m: np.ndarray, p: int, r0: int, f: np.ndarray, inv: list[int], c1: int) -> None:
+    """Apply a factored panel's row operations to the columns from c1 on.
+
+    With S the pivot inverses and F the multipliers (F_low among the k
+    pivot rows, F_bot below them), the pivot rows become
+    U = (I + S F_low)^-1 S T_top and the rows below T_bot - F_bot U.
+    The k x k matrix is built by replaying the panel on the identity.
+    """
+    k = len(inv)
+    x = np.eye(k, dtype=np.int64)
+    for j in range(k):
+        x[j, : j + 1] = _reduce(x[j, : j + 1] * inv[j], p)
+        tgt = j + 1 + np.flatnonzero(f[j + 1 : k, j])
+        if tgt.size:
+            x[tgt, : j + 1] = _reduce(x[tgt, : j + 1] - np.outer(f[tgt, j], x[j, : j + 1]), p)
+    # X T = T + (X - I) T keeps the product in place; X - I is still a
+    # residue matrix, since its diagonal holds the inverses minus one
+    top = m[r0 : r0 + k, c1:]
+    _matmul_mod(x - np.eye(k, dtype=np.int64), top, p, out=top)
+    _subtract_rows(m, p, r0 + k, f[k:], top, c1)
+
+
+def _back_substitute(m: np.ndarray, p: int, pivots: list[int]) -> None:
+    """Clear above the pivots of a forward echelon form, last block first.
+
+    Each block of _PANEL pivot rows is multiplied by the inverse of its
+    unit upper triangular pivot part, which reduces it; the rows above
+    then subtract their pivot-column entries times the block.
+    """
+    for j0 in reversed(range(0, len(pivots), _PANEL)):
+        pc = pivots[j0 : j0 + _PANEL]
+        k, c = len(pc), pc[0]
+        a = m[j0 : j0 + k, pc]
+        y = np.eye(k, dtype=np.int64)
+        for j in reversed(range(k)):
+            tgt = np.flatnonzero(a[:j, j])
+            if tgt.size:
+                y[tgt, j:] = _reduce(y[tgt, j:] - np.outer(a[tgt, j], y[j, j:]), p)
+        block = m[j0 : j0 + k, c:]
+        _matmul_mod(y - np.eye(k, dtype=np.int64), block, p, out=block)
+        _subtract_rows(m, p, 0, m[:j0, pc], block, c)
+
+
+def _subtract_rows(m: np.ndarray, p: int, r0: int, g: np.ndarray, block: np.ndarray, c: int) -> None:
+    """m[r0 + i, c:] -= g[i] @ block mod p, skipping the rows where g is zero."""
+    live = np.flatnonzero(g.any(axis=1))
+    if live.size:
+        neg = g[live]
+        np.subtract(p, neg, out=neg)
+        neg[neg == p] = 0
+        _matmul_mod(neg, block, p, out=m[:, c:], rows=r0 + live)
 
 
 def rank_fp(a: MatFp) -> int:

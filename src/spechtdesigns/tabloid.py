@@ -48,6 +48,17 @@ __all__ = [
 ]
 
 _MAX_GROUND = 62  # masks live in int64
+# Longest subset listing or element vector accepted: about 12 times the
+# largest shape in the tests and the benchmark, C(21, 10) = 352716.
+_MAX_SUBSETS = 1 << 22
+
+
+def _require_listable(n: int, k: int) -> int:
+    """Return C(n, k), refusing it above _MAX_SUBSETS before any allocation."""
+    size = math.comb(n, k)
+    if size > _MAX_SUBSETS:
+        raise ValueError(f"C({n}, {k}) = {size} subsets exceed the limit of {_MAX_SUBSETS}")
+    return size
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,6 +84,7 @@ def subsets_colex(n: int, k: int) -> np.ndarray:
     """All k-subset masks of [n] in colex (= numeric) order, read-only."""
     if not 0 <= k <= n <= _MAX_GROUND:
         raise ValueError(f"need 0 <= k <= n <= {_MAX_GROUND}, got n={n}, k={k}")
+    _require_listable(n, k)
     if k == 0:
         arr = np.array([0], dtype=np.int64)
     else:
@@ -378,7 +390,7 @@ def element_from_json(obj) -> Element:
     entries = obj["entries"]
     if not isinstance(entries, list):
         raise ValueError("entries must be a list")
-    vec = np.zeros(math.comb(n, b), dtype=np.int64)
+    vec = np.zeros(_require_listable(n, b), dtype=np.int64)
     seen = set()
     for e in entries:
         if not isinstance(e, dict) or set(e) != {"set", "coeff"}:

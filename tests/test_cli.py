@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -208,3 +209,52 @@ def test_module_entry_point():
     )
     assert r.returncode == 0
     assert json.loads(r.stdout)["kind"] == "james"
+
+
+# Runs the CLI in a child process whose address space is capped, so an
+# unguarded allocation fails there instead of in the test process.
+CAPPED_CHILD = (
+    "import resource, runpy, sys; "
+    "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+    "sys.argv[0] = 'spechtdesigns'; "
+    "runpy.run_module('spechtdesigns.cli', run_name='__main__')"
+)
+
+
+def run_capped(*args, timeout=60):
+    return subprocess.run(
+        [sys.executable, "-c", CAPPED_CHILD, *args],
+        capture_output=True, text=True, timeout=timeout,
+        cwd=Path(spechtdesigns.__file__).parent.parent,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
+
+
+def test_classify_huge_prime_is_quick():
+    r = run_capped("classify", "--a", "3", "--b", "2", "--p", "1000000000000000003", timeout=20)
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["kind"] == "neither"
+
+
+def test_construct_oversized_shape_exits_2():
+    r = run_capped("construct", "--a", "27", "--b", "27", "--p", "3")
+    assert r.returncode == 2
+    assert "C(54, 27)" in r.stderr
+
+
+def test_verify_oversized_element_exits_2(tmp_path):
+    doc = tmp_path / "big.json"
+    doc.write_text(json.dumps({"p": 3, "a": 40, "b": 20, "entries": []}))
+    r = run_capped("verify", "--file", str(doc))
+    assert r.returncode == 2
+    assert "C(60, 20)" in r.stderr
+
+
+def test_memory_error_exits_2(monkeypatch, tmp_path, capsys):
+    def exhausted(doc):
+        raise MemoryError
+    monkeypatch.setattr("spechtdesigns.cli.element_from_json", exhausted)
+    doc = tmp_path / "element.json"
+    doc.write_text("{}")
+    rc, _, err = run_cli(capsys, "verify", "--file", str(doc))
+    assert rc == 2 and "memory" in err

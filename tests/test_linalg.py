@@ -1,10 +1,13 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spechtdesigns import linalg
+from spechtdesigns.designs import constant_level_system
 from spechtdesigns.linalg import (
     MatFp,
     MatZ,
@@ -24,6 +27,141 @@ def brute_solutions(a: np.ndarray, rhs: np.ndarray, p: int) -> set[tuple[int, ..
         if all((a @ np.array(x)) % p == rhs % p):
             out.add(x)
     return out
+
+
+# 2147483629, the second largest prime below 2^31, takes the int64 product
+# route; the others take float64.
+WORD_PRIMES = (3, 5, 7, 65521, 4194301, 2147483629)
+
+
+def reference_eliminate(m: np.ndarray, p: int, full: bool) -> tuple[np.ndarray, list[int]]:
+    """Per-pivot elimination, the oracle for the blocked core.
+
+    One full-width outer-product update per pivot. Row reduce in place.
+    full=True gives RREF, else forward echelon only.
+    """
+    rows, cols = m.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(m[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            m[[r, pr]] = m[[pr, r]]
+        inv = pow(int(m[r, c]), p - 2, p)
+        if inv != 1:
+            m[r] = m[r] * inv % p
+        if full:
+            col = m[:, c].copy()
+            col[r] = 0
+            tgt = np.nonzero(col)[0]
+        else:
+            tgt = r + 1 + np.nonzero(m[r + 1 :, c])[0]
+        if tgt.size:
+            m[tgt] = (m[tgt] - np.outer(m[tgt, c], m[r])) % p
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def exact_product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p in Python integers."""
+    return (a.astype(object) @ b.astype(object) % p).astype(np.int64)
+
+
+def test_plain_int64_product_wraps_near_2_31():
+    # the trap the modular product avoids: three terms of (p-1)^2 pass 2^63
+    p = 2147483629
+    a = np.full((1, 3), p - 1, dtype=np.int64)
+    b = np.full((3, 1), p - 1, dtype=np.int64)
+    assert (a @ b % p).item() != 3
+    assert linalg._matmul_mod(a, b, p).item() == 3
+
+
+@pytest.mark.parametrize("p", WORD_PRIMES)
+def test_matmul_mod_exact(p):
+    rng = np.random.default_rng(p % 1000)
+    # 4194301 fits 512 float64 terms per chunk, so 700 crosses a chunk edge
+    for rows, inner, cols in [(3, 1, 4), (5, 700, 3), (2, 40, 2000), (0, 3, 2), (2, 0, 3)]:
+        a = rng.integers(0, p, size=(rows, inner))
+        a[:, : inner // 2] = p - 1  # the largest terms
+        b = rng.integers(0, p, size=(inner, cols))
+        assert np.array_equal(linalg._matmul_mod(a, b, p), exact_product(a, b, p))
+    # accumulation into chosen rows of out, with b aliasing out
+    out = rng.integers(0, p, size=(6, 5))
+    a = rng.integers(0, p, size=(2, 6))
+    want = out.copy()
+    want[[1, 4]] = (want[[1, 4]] + exact_product(a, out, p)) % p
+    linalg._matmul_mod(a, out, p, out=out, rows=np.array([1, 4]))
+    assert np.array_equal(out, want)
+
+
+def test_float_bound_is_asserted(monkeypatch):
+    p = 2147483629
+    assert linalg._float_chunk(p) == 0  # routed to int64
+    assert linalg._float_chunk(3) > 10**15
+    monkeypatch.setattr(linalg, "_float_chunk", lambda p: 2)
+    with pytest.raises(AssertionError):
+        linalg._matmul_mod(np.ones((1, 2), dtype=np.int64), np.ones((2, 1), dtype=np.int64), p)
+
+
+def random_cases(rng, p, panel):
+    """Matrices around the panel width: dense, sparse, low rank, zero blocks."""
+    for _ in range(12):
+        rows, cols = int(rng.integers(1, 61)), int(rng.integers(1, 61))
+        yield rng.integers(0, p, size=(rows, cols)) * (rng.random((rows, cols)) < rng.random())
+    for cols in (panel - 1, panel, panel + 1, 2 * panel + 1):
+        rows = int(rng.integers(1, 61))
+        yield rng.integers(0, p, size=(rows, cols))
+        k = int(rng.integers(0, min(rows, cols) + 1))  # rank at most k
+        yield rng.integers(0, p, size=(rows, k)) @ rng.integers(0, p, size=(k, cols)) % p
+        m = rng.integers(0, p, size=(rows, cols))
+        m[:, panel // 2 : panel // 2 + panel] = 0  # an all-zero panel
+        yield m
+    yield np.zeros((7, panel + 1), dtype=np.int64)
+
+
+@pytest.mark.parametrize("panel", [4, linalg._PANEL])
+@pytest.mark.parametrize("p", WORD_PRIMES)
+def test_eliminate_matches_reference(monkeypatch, p, panel):
+    monkeypatch.setattr(linalg, "_PANEL", panel)
+    rng = np.random.default_rng(panel * 7 + p % 1000)
+    for a in random_cases(rng, p, panel):
+        for full in (False, True):
+            want = reference_eliminate(a.copy(), p, full)
+            got = linalg._eliminate(a.copy(), p, full)
+            assert got[1] == want[1]
+            assert np.array_equal(got[0], want[0])
+
+
+def test_eliminate_matches_reference_on_sweep():
+    """Every brute-force H^1 system with a + b <= 13 and p in {3, 5}.
+
+    The reference runs in forward mode only, for time. The RREF is then
+    checked against it: it is reduced echelon with the same pivots, and
+    the reference echelon rows lie in its row space, so both spans agree
+    and the RREF is the unique one.
+    """
+    for p in (3, 5):
+        for n in range(2, 14):
+            for b in range(1, n // 2 + 1):
+                a = constant_level_system(n, b, range(b)) % p
+                echelon, pivots = reference_eliminate(a.copy(), p, full=False)
+                got, got_pivots = linalg._eliminate(a.copy(), p, full=False)
+                assert got_pivots == pivots
+                assert np.array_equal(got, echelon)
+                rref, rref_pivots = linalg._eliminate(a.copy(), p, full=True)
+                r = len(pivots)
+                assert rref_pivots == pivots
+                assert not rref[r:].any()
+                assert np.array_equal(rref[:r, pivots], np.eye(r, dtype=np.int64))
+                assert all(not rref[i, : c].any() for i, c in enumerate(pivots))
+                coords = MatFp(echelon[:r, pivots], p)
+                assert (coords @ MatFp(rref[:r], p)).entries.tolist() == echelon[:r].tolist()
 
 
 def test_matfp_reduces_entries():

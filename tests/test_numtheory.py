@@ -14,6 +14,8 @@ from spechtdesigns.numtheory import (
     p_adic_length,
     p_adic_val,
     require_odd_prime,
+    _is_prime,
+    _is_prime_by_division,
 )
 
 PRIMES = [3, 5, 7, 11, 13]
@@ -33,6 +35,20 @@ def test_require_odd_prime():
     for bad in [-3, 0, 1, 2, 4, 9, 15]:
         with pytest.raises(ValueError):
             require_odd_prime(bad)
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(-3, 10**5) if _is_prime(n) != _is_prime_by_division(n)] == []
+
+
+def test_is_prime_large():
+    # strong pseudoprimes to the bases 2..31 and 2..37; base 41 catches them
+    for n in (3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(n)
+    for n in (2147483629, 2**61 - 1, 10**18 + 3):
+        assert _is_prime(n)
+    assert not _is_prime(1000000000039 * 999999999989)  # no factor below 10^12
+    require_odd_prime(10**18 + 3)  # trial division would take minutes
 
 
 def test_digits_examples():
