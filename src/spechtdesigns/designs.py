@@ -24,6 +24,7 @@ from .numtheory import (
     require_odd_prime,
 )
 from .tabloid import (
+    _MAX_SUBSETS,
     Element,
     Partition2,
     inclusion_stack,
@@ -204,6 +205,15 @@ def wilson_exists(g: int, b: int, t: int, p: int) -> bool:
     )
 
 
+def _solve_levels_fp(g: int, b: int, p: int, targets: dict[int, int]) -> Element | None:
+    """Canonical echelon element (free coordinates zero) whose level-s sums
+    are all targets[s] mod p, or None when there is none."""
+    system = MatFp(inclusion_stack(g, b, list(targets))[0], p)  # raw stack dropped here
+    rhs = np.repeat([mu % p for mu in targets.values()], [math.comb(g, s) for s in targets])
+    sol = solve_affine_fp(system, rhs)
+    return None if sol.particular is None else Element(g, b, p, sol.particular)
+
+
 def find_t_design_fp(params: DesignParams, target: int) -> Element | None:
     """A t-design with level-t constant `target`, by solving mod p.
 
@@ -211,13 +221,7 @@ def find_t_design_fp(params: DesignParams, target: int) -> Element | None:
     when no design exists. target 0 is allowed; the zero element then
     satisfies it.
     """
-    g, b, t, p = params.g, params.b, params.t, params.p
-    stack, _ = inclusion_stack(g, b, [t])
-    rhs = np.full(stack.shape[0], target % p, dtype=np.int64)
-    sol = solve_affine_fp(MatFp(stack, p), rhs)
-    if sol.particular is None:
-        return None
-    return Element(g, b, p, sol.particular)
+    return _solve_levels_fp(params.g, params.b, params.p, {params.t: target})
 
 
 def integral_design_exists(g: int, b: int, t: int, mu) -> bool:
@@ -269,6 +273,14 @@ def construct_integral_design(g: int, b: int, t: int, mu) -> IntegerDesign | Non
         raise ValueError(f"need {t + 1} level constants mu_0..mu_{t}, got {len(mus)}")
     if not 0 <= t < b <= g:
         raise ValueError(f"need 0 <= t < b <= g, got g={g}, b={b}, t={t}")
+    # the solver holds the rows x cols system and a cols x cols unimodular U
+    cols = math.comb(g, b)
+    cells = cols * (sum(math.comb(g, s) for s in range(t + 1)) + cols)
+    if cells > _MAX_SUBSETS:
+        raise ValueError(
+            f"integer solve on C({g}, {b}) = {cols} columns needs {cells} cells, "
+            f"over the limit of {_MAX_SUBSETS}"
+        )
     stack, offsets = inclusion_stack(g, b, range(t + 1))
     rhs: list[int] = []
     for s in range(t + 1):
@@ -393,6 +405,5 @@ def constant_level_system(n: int, b: int, levels) -> np.ndarray:
 def constant_space_dim(n: int, b: int, p: int, levels) -> int:
     """Dimension of {u : psi_v(u) constant for all v in levels}."""
     require_odd_prime(p)
-    lv = list(levels)
-    aug = constant_level_system(n, b, lv)
-    return aug.shape[1] - rank_fp(MatFp(aug, p))
+    system = MatFp(constant_level_system(n, b, levels), p)
+    return system.shape[1] - rank_fp(system)

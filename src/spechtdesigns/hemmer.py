@@ -3,8 +3,8 @@
 An element u on two-row tabloids qualifies when (1) every level sum is
 constant, (2) some level is nonzero, and (3) its spectrum is not a scalar
 multiple of the all-ones element's spectrum. Constructors exist for the
-two kinds classify() predicts: a digit-divisibility kind solved over the
-integers, and a pointed kind built from a block-avoiding base element.
+two kinds classify() predicts: a digit-divisibility kind solved mod p,
+and a pointed kind built from a block-avoiding base element.
 Every constructor re-verifies its output and raises SelfCheckError on
 any miss, so a returned element is always certified.
 """
@@ -20,8 +20,8 @@ import numpy as np
 from .designs import (
     DesignParams,
     Spectrum,
+    _solve_levels_fp,
     constant_level_system,
-    construct_integral_design,
     find_t_design_fp,
     poset_X,
     spectrum,
@@ -213,8 +213,9 @@ def construct_james(a: int, b: int, p: int) -> Element:
 
     Only defined when classify(a, b, p) is james. The exact level sums of
     the all-ones element are C(n-s, b-s); dividing by p^d with d their
-    minimum valuation gives integer targets an integral design realizes,
-    and the reduction mod p has a nonzero level.
+    minimum valuation gives targets, not all divisible by p, that an
+    integral design realizes; so the GF(p) level system with those targets
+    is consistent, and its canonical echelon solution is returned.
     """
     cls = classify(a, b, p)
     if cls.kind != "james":
@@ -222,15 +223,14 @@ def construct_james(a: int, b: int, p: int) -> Element:
     n = a + b
     exact = [math.comb(n - s, b - s) for s in range(b)]
     d = min(p_adic_val(x, p) for x in exact)
-    mus = [x // p**d for x in exact]
-    design = construct_integral_design(n, b, b - 1, mus)
-    if design is None:
+    mus = [x // p**d % p for x in exact]
+    u = _solve_levels_fp(n, b, p, dict(enumerate(mus)))
+    if u is None:
         raise SelfCheckError(
-            f"no integral design with targets {mus} on (n={n}, b={b})"
+            f"no element with level constants {mus} mod {p} on (n={n}, b={b})"
         )
-    u = design.reduce_mod(p)
     rep = verify_hemmer(u)
-    if not (rep.is_hemmer and rep.spectrum.levels == tuple(x % p for x in mus)):
+    if not (rep.is_hemmer and rep.spectrum.levels == tuple(mus)):
         raise SelfCheckError(
             f"james element for (a={a}, b={b}, p={p}) failed verification: "
             f"spectrum {rep.spectrum.levels}"
@@ -303,9 +303,8 @@ def find_hemmer_by_solver(a: int, b: int, p: int, budget: int = 4000) -> Element
         raise ValueError(
             f"C({n}, {b}) = {ncols} exceeds the budget of {budget} columns"
         )
-    aug = constant_level_system(n, b, range(b))
     sf = _f_spectrum(a, b, p)
-    for k in kernel_basis_fp(MatFp(aug, p)):
+    for k in kernel_basis_fp(MatFp(constant_level_system(n, b, range(b)), p)):
         s = Spectrum(p, tuple(int(x) for x in k[ncols:]))
         if not s.is_multiple_of(sf):
             u = Element(n, b, p, k[:ncols])

@@ -31,14 +31,16 @@ _MR_EXACT = 3317044064679887385961981
 
 @lru_cache(maxsize=None)
 def _is_prime(n: int) -> bool:
-    """Exact primality: deterministic Miller-Rabin, trial division beyond its bound."""
+    """Exact primality by deterministic Miller-Rabin.
+
+    At or above _MR_EXACT a failed base still proves n composite, but
+    passing every base proves nothing, so that case raises ValueError.
+    """
     if n < 2:
         return False
     for q in _MR_BASES:
         if n % q == 0:
             return n == q
-    if n >= _MR_EXACT:
-        return _is_prime_by_division(n)
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
@@ -52,21 +54,9 @@ def _is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
-
-
-def _is_prime_by_division(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
+    if n >= _MR_EXACT:
+        raise ValueError(f"cannot certify primality above 3.317*10^24: {n} passes "
+                         f"every Miller-Rabin base")
     return True
 
 

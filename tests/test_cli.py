@@ -236,6 +236,28 @@ def test_classify_huge_prime_is_quick():
     assert json.loads(r.stdout)["kind"] == "neither"
 
 
+def test_classify_uncertifiable_prime_exits_2():
+    # 2^89 - 1 is prime, but no fixed Miller-Rabin base set is proven there
+    r = run_capped("classify", "--a", "3", "--b", "2", "--p", str(2**89 - 1), timeout=20)
+    assert r.returncode == 2
+    assert "cannot certify" in r.stderr
+
+
+def test_classify_huge_composite_exits_2():
+    # (2^31 - 1)(2^61 - 1) has no small factor; a Miller-Rabin base rejects it
+    r = run_capped("classify", "--a", "3", "--b", "2", "--p", str((2**31 - 1) * (2**61 - 1)),
+                   timeout=20)
+    assert r.returncode == 2
+    assert "must be a prime" in r.stderr
+
+
+def test_design_integral_oversized_exits_2():
+    r = run_capped("design", "--g", "16", "--b", "6", "--t", "2", "--mode", "integral",
+                   "--mu", "8008,3003,1001", timeout=20)
+    assert r.returncode == 2
+    assert "C(16, 6) = 8008" in r.stderr
+
+
 def test_construct_oversized_shape_exits_2():
     r = run_capped("construct", "--a", "27", "--b", "27", "--p", "3")
     assert r.returncode == 2

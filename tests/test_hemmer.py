@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from spechtdesigns.hemmer import (
     verify_hemmer,
 )
 from spechtdesigns.linalg import MatFp, kernel_basis_fp
-from spechtdesigns.numtheory import p_adic_length
+from spechtdesigns.numtheory import p_adic_length, p_adic_val
 from spechtdesigns.tabloid import (
     Element,
     f_lambda,
@@ -138,6 +140,27 @@ def test_construct_james_examples():
         construct_james(3, 3, 3)  # pointed, not james
     with pytest.raises(ValueError):
         construct_james(5, 3, 3)  # neither
+    for p in (3, 5):
+        for n in range(2, 14):
+            for b in range(1, n // 2 + 1):
+                a = n - b
+                if classify(a, b, p).kind != "james":
+                    continue
+                exact = [math.comb(n - s, b - s) for s in range(b)]
+                d = min(p_adic_val(x, p) for x in exact)
+                u = construct_james(a, b, p)
+                assert spectrum(u).levels == tuple(x // p**d % p for x in exact)
+                assert verify_hemmer(u).is_hemmer
+
+
+def test_construct_james_needs_no_integer_solver(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("integer solver reached")
+    monkeypatch.setattr("spechtdesigns.linalg.solve_integer", refuse)
+    monkeypatch.setattr("spechtdesigns.designs.solve_integer", refuse)
+    u = construct_james(8, 3, 3)
+    assert spectrum(u).levels == (1, 0, 0)
+    assert verify_hemmer(u).is_hemmer
 
 
 def test_construct_pointed_dispatches_to_base():

@@ -15,7 +15,6 @@ from spechtdesigns.numtheory import (
     p_adic_val,
     require_odd_prime,
     _is_prime,
-    _is_prime_by_division,
 )
 
 PRIMES = [3, 5, 7, 11, 13]
@@ -37,6 +36,22 @@ def test_require_odd_prime():
             require_odd_prime(bad)
 
 
+def _is_prime_by_division(n: int) -> bool:
+    """Reference primality by trial division; only for small n."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
+
+
 def test_is_prime_matches_trial_division():
     assert [n for n in range(-3, 10**5) if _is_prime(n) != _is_prime_by_division(n)] == []
 
@@ -49,6 +64,18 @@ def test_is_prime_large():
         assert _is_prime(n)
     assert not _is_prime(1000000000039 * 999999999989)  # no factor below 10^12
     require_odd_prime(10**18 + 3)  # trial division would take minutes
+
+
+def test_is_prime_above_the_exact_bound():
+    # a failed base still proves compositeness past the bound
+    assert not _is_prime((2**31 - 1) * (2**61 - 1))
+    # passing every base certifies nothing there: the bound itself is a
+    # composite strong pseudoprime to all 13 bases, 2^89 - 1 is a prime
+    for n in (3317044064679887385961981, 2**89 - 1):
+        with pytest.raises(ValueError, match="cannot certify"):
+            _is_prime(n)
+    with pytest.raises(ValueError, match="cannot certify"):
+        require_odd_prime(2**89 - 1)
 
 
 def test_digits_examples():
