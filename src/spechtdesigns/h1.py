@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .designs import constant_level_system
 from .linalg import MatFp, rank_fp_prefix
 from .numtheory import (
-    all_binoms_divisible,
+    all_binoms_divisible_by_digits,
     p_adic_length,
     p_adic_val,
     require_odd_prime,
@@ -63,7 +63,8 @@ class Classification:
 def classify(a: int, b: int, p: int) -> Classification:
     """Classify the partition (a, b) mod p.
 
-    james: every C(a+j, j) for 1 <= j <= b vanishes mod p.
+    james: every C(a+j, j) for 1 <= j <= b vanishes mod p, tested by the
+    digit criterion a = -1 mod p^(beta+1) in O(log b).
     pointed: not james, and with beta the leading digit position of b,
     bhat = b - p^beta and nu = nu_p(a+1): the leading digit of b is 1,
     bhat < p^nu, and nu < beta.
@@ -71,7 +72,7 @@ def classify(a: int, b: int, p: int) -> Classification:
     """
     Partition2(a, b)
     require_odd_prime(p)
-    if all_binoms_divisible(a, b, p):
+    if all_binoms_divisible_by_digits(a, b, p):
         return Classification(a, b, p, "james")
     beta = p_adic_length(b, p)
     bhat = b - p**beta

@@ -18,18 +18,23 @@ from itertools import combinations
 import numpy as np
 
 from .designs import (
-    DesignParams,
     Spectrum,
     _solve_levels_fp,
     constant_level_system,
-    find_t_design_fp,
     poset_X,
     spectrum,
 )
 from .h1 import classify
 from .linalg import MatFp, kernel_basis_fp
 from .numtheory import binom_mod_p, p_adic_length, p_adic_val, require_odd_prime
-from .tabloid import Element, Partition2, f_lambda, mask_from_members, subsets_colex
+from .tabloid import (
+    Element,
+    Partition2,
+    _require_listable,
+    f_lambda,
+    mask_from_members,
+    subsets_colex,
+)
 
 __all__ = [
     "SelfCheckError",
@@ -97,15 +102,13 @@ def verify_hemmer(u: Element) -> HemmerReport:
     )
 
 
-def adjoin(u: Element, new_points, row: str = "bottom") -> Element:
+def adjoin(u: Element, new_points) -> Element:
     """Extend u's ground set by new_points, given in the enlarged numbering.
 
     The old ground maps order-preservingly onto the complement of
-    new_points. With row="bottom" every block absorbs the new points
-    (block size grows); with row="top" blocks are unchanged.
+    new_points, and every block absorbs the new points, so the block size
+    grows by their number.
     """
-    if row not in ("bottom", "top"):
-        raise ValueError(f"row must be 'bottom' or 'top', got {row!r}")
     pts = sorted(int(q) for q in new_points)
     k = len(pts)
     if len(set(pts)) != k:
@@ -119,14 +122,26 @@ def adjoin(u: Element, new_points, row: str = "bottom") -> Element:
     out = np.zeros(len(old), dtype=np.int64)
     for i, pos in enumerate(keep):
         out |= (old >> i & 1) << pos
-    b2 = u.b
-    if row == "bottom":
-        out |= ymask
-        b2 += k
-    new_masks = subsets_colex(n2, b2)
+    out |= ymask
+    new_masks = subsets_colex(n2, u.b + k)
     vec = np.zeros(len(new_masks), dtype=np.int64)
     vec[np.searchsorted(new_masks, out)] = u.vec
-    return Element(n2, b2, u.p, vec)
+    return Element(n2, u.b + k, u.p, vec)
+
+
+def _certify(u: Element, name: str, levels_ok) -> Element:
+    """Return u if it qualifies and levels_ok holds on its spectrum levels.
+
+    Raises SelfCheckError naming the constructor, shape and spectrum
+    otherwise.
+    """
+    rep = verify_hemmer(u)
+    if not (rep.is_hemmer and levels_ok(rep.spectrum.levels)):
+        raise SelfCheckError(
+            f"{name} element for (a={u.a}, b={u.b}, p={u.p}) failed verification: "
+            f"spectrum {rep.spectrum.levels}"
+        )
+    return u
 
 
 def construct_base_case(a: int, b: int, p: int) -> Element:
@@ -150,61 +165,41 @@ def construct_base_case(a: int, b: int, p: int) -> Element:
     masks = subsets_colex(n, b)
     low = (1 << m) - 1
     vec = np.where(masks & low == 0, 1, 0).astype(np.int64)
-    u = Element(n, b, p, vec)
-    rep = verify_hemmer(u)
     want0 = binom_mod_p(2 * b - 1, b, p)
-    ok = (
-        rep.is_hemmer
-        and rep.spectrum.levels[0] == want0
-        and want0 != 0
-        and all(mu == 0 for mu in rep.spectrum.levels[1:])
+    return _certify(
+        Element(n, b, p, vec), "base",
+        lambda levels: want0 != 0 and levels == (want0,) + (0,) * (b - 1),
     )
-    if not ok:
-        raise SelfCheckError(
-            f"base element for (a={a}, b={b}, p={p}) failed verification: "
-            f"spectrum {rep.spectrum.levels}"
-        )
-    return u
 
 
 def construct_pointed(a: int, b: int, p: int) -> Element:
     """Element whose spectrum is nonzero exactly at level bhat = b - p^beta.
 
     Only defined when classify(a, b, p) is pointed. For bhat = 0 this is
-    the base construction; otherwise the base element for (a, p^beta) is
-    summed over all ways to push bhat extra points into its blocks,
-    weighted by a bhat-design on (b-1)-subsets of the full ground set.
+    the base construction; otherwise u is the sum, over every bhat-subset
+    S of [n], of the base element u0 for (a, p^beta) with S adjoined to
+    its blocks. The paper weights these copies by a strength-bhat carrier
+    design c on (b-1)-subsets, but the weights cancel:
+        sum_B c_B sum_{S in B} adjoin(u0, S) = sum_S (sum_{B >= S} c_B) adjoin(u0, S),
+    and the carrier's level-bhat sums sum_{B >= S} c_B are all 1 mod p.
     """
+    n = a + b
+    _require_listable(n, b)
     cls = classify(a, b, p)
     if cls.kind != "pointed":
         raise ValueError(f"(a={a}, b={b}) mod {p} is {cls.kind}, not pointed")
     beta, bhat = cls.beta, cls.bhat
     if bhat == 0:
         return construct_base_case(a, b, p)
-    n = a + b
     u0 = construct_base_case(a, p**beta, p)
-    carrier = find_t_design_fp(DesignParams(n, b - 1, bhat, p), 1)
-    if carrier is None:
-        raise SelfCheckError(
-            f"no strength-{bhat} carrier design exists on [{n}]"
-        )
     acc = np.zeros(math.comb(n, b), dtype=np.int64)
-    for members, c in carrier.support():
-        for sub in combinations(members, bhat):
-            acc = (acc + c * adjoin(u0, sub, "bottom").vec) % p
-    u = Element(n, b, p, acc)
-    rep = verify_hemmer(u)
-    ok = (
-        rep.is_hemmer
-        and rep.spectrum.levels[bhat] != 0
-        and all(mu == 0 for v, mu in enumerate(rep.spectrum.levels) if v != bhat)
+    for sub in combinations(range(1, n + 1), bhat):
+        acc += adjoin(u0, sub).vec
+    return _certify(
+        Element(n, b, p, acc), "pointed",
+        lambda levels: levels[bhat] != 0
+        and all(mu == 0 for v, mu in enumerate(levels) if v != bhat),
     )
-    if not ok:
-        raise SelfCheckError(
-            f"pointed element for (a={a}, b={b}, p={p}) failed verification: "
-            f"spectrum {rep.spectrum.levels}"
-        )
-    return u
 
 
 def construct_james(a: int, b: int, p: int) -> Element:
@@ -217,10 +212,11 @@ def construct_james(a: int, b: int, p: int) -> Element:
     integral design realizes; so the GF(p) level system with those targets
     is consistent, and its canonical echelon solution is returned.
     """
+    n = a + b
+    _require_listable(n, b)
     cls = classify(a, b, p)
     if cls.kind != "james":
         raise ValueError(f"(a={a}, b={b}) mod {p} is {cls.kind}, not james")
-    n = a + b
     exact = [math.comb(n - s, b - s) for s in range(b)]
     d = min(p_adic_val(x, p) for x in exact)
     mus = [x // p**d % p for x in exact]
@@ -229,13 +225,7 @@ def construct_james(a: int, b: int, p: int) -> Element:
         raise SelfCheckError(
             f"no element with level constants {mus} mod {p} on (n={n}, b={b})"
         )
-    rep = verify_hemmer(u)
-    if not (rep.is_hemmer and rep.spectrum.levels == tuple(mus)):
-        raise SelfCheckError(
-            f"james element for (a={a}, b={b}, p={p}) failed verification: "
-            f"spectrum {rep.spectrum.levels}"
-        )
-    return u
+    return _certify(u, "james", lambda levels: levels == tuple(mus))
 
 
 def construct_auto(a: int, b: int, p: int) -> Element:

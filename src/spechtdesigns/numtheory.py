@@ -176,9 +176,8 @@ def binom_val_p(m: int, k: int, p: int) -> int:
 def all_binoms_divisible(a: int, b: int, p: int) -> bool:
     """Whether p divides C(a+j, j) for every 1 <= j <= b.
 
-    Ground truth by direct loop. The digit form below is the O(log) shortcut;
-    the two are cross-checked in the test suite, and callers that only need
-    a yes/no answer should prefer this one.
+    Ground truth by direct loop, O(b) calls to binom_mod_p. Callers should
+    use the O(log b) digit form below; the tests cross-check the two.
     """
     require_odd_prime(p)
     if a < 0 or b < 0:

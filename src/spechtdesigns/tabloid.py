@@ -54,7 +54,9 @@ _MAX_SUBSETS = 1 << 22
 
 
 def _require_listable(n: int, k: int) -> int:
-    """Return C(n, k), refusing it above _MAX_SUBSETS before any allocation."""
+    """Return C(n, k); refuse n above _MAX_GROUND, then C(n, k) above _MAX_SUBSETS."""
+    if not 0 <= k <= n <= _MAX_GROUND:
+        raise ValueError(f"need 0 <= k <= n <= {_MAX_GROUND}, got n={n}, k={k}")
     size = math.comb(n, k)
     if size > _MAX_SUBSETS:
         raise ValueError(f"C({n}, {k}) = {size} subsets exceed the limit of {_MAX_SUBSETS}")
@@ -82,8 +84,6 @@ class Partition2(object):
 @lru_cache(maxsize=None)
 def subsets_colex(n: int, k: int) -> np.ndarray:
     """All k-subset masks of [n] in colex (= numeric) order, read-only."""
-    if not 0 <= k <= n <= _MAX_GROUND:
-        raise ValueError(f"need 0 <= k <= n <= {_MAX_GROUND}, got n={n}, k={k}")
     _require_listable(n, k)
     if k == 0:
         arr = np.array([0], dtype=np.int64)

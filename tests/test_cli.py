@@ -264,6 +264,32 @@ def test_construct_oversized_shape_exits_2():
     assert "C(54, 27)" in r.stderr
 
 
+@pytest.mark.parametrize("a,b,p", [
+    (1000000006, 1000000006, 1000000007),
+    (3**20 - 1, 3**19, 3),
+])
+def test_classify_huge_james_shape_is_quick(a, b, p):
+    r = run_capped("classify", "--a", str(a), "--b", str(b), "--p", str(p), timeout=20)
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["kind"] == "james"
+
+
+@pytest.mark.parametrize("method", ["auto", "james"])
+def test_construct_huge_james_shape_exits_2(method):
+    r = run_capped("construct", "--a", "1000000006", "--b", "1000000006",
+                   "--p", "1000000007", "--method", method, timeout=20)
+    assert r.returncode == 2
+    assert "n <= 62" in r.stderr
+
+
+def test_verify_huge_ground_exits_2(tmp_path):
+    doc = tmp_path / "huge.json"
+    doc.write_text(json.dumps({"p": 3, "a": 100000000, "b": 100000000, "entries": []}))
+    r = run_capped("verify", "--file", str(doc), timeout=20)
+    assert r.returncode == 2
+    assert "n <= 62" in r.stderr
+
+
 def test_verify_oversized_element_exits_2(tmp_path):
     doc = tmp_path / "big.json"
     doc.write_text(json.dumps({"p": 3, "a": 40, "b": 20, "entries": []}))

@@ -1,9 +1,10 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from spechtdesigns.designs import spectrum
+from spechtdesigns.designs import DesignParams, find_t_design_fp, spectrum
 from spechtdesigns.h1 import classify
 from spechtdesigns.hemmer import (
     SelfCheckError,
@@ -100,33 +101,23 @@ def test_verify_hemmer_on_reference_elements():
 
 def test_adjoin_bottom():
     u = Element.from_subsets(3, 2, 3, {(1, 2): 1})
-    w = adjoin(u, [2], "bottom")
+    w = adjoin(u, [2])
     assert w.n == 4 and w.b == 3
     assert w.coeff([1, 2, 3]) == 1
     assert sum(1 for _ in w.support()) == 1
 
 
-def test_adjoin_top():
-    u = Element.from_subsets(3, 2, 3, {(1, 2): 1, (2, 3): 2})
-    w = adjoin(u, [1], "top")
-    assert w.n == 4 and w.b == 2
-    assert w.coeff([2, 3]) == 1
-    assert w.coeff([3, 4]) == 2
-
-
 def test_adjoin_validation():
     u = Element.from_subsets(3, 2, 3, {(1, 2): 1})
     with pytest.raises(ValueError):
-        adjoin(u, [1, 1], "bottom")
+        adjoin(u, [1, 1])
     with pytest.raises(ValueError):
-        adjoin(u, [9], "bottom")
-    with pytest.raises(ValueError):
-        adjoin(u, [1], "middle")
+        adjoin(u, [9])
 
 
 def test_adjoin_empty_is_identity():
     u = Element.from_subsets(4, 2, 3, {(1, 3): 2})
-    assert adjoin(u, [], "bottom") == u
+    assert adjoin(u, []) == u
 
 
 def test_construct_james_examples():
@@ -178,12 +169,49 @@ def test_construct_auto_dispatch():
         construct_auto(5, 3, 3)
 
 
-def test_construct_pointed_with_offset_level():
-    """Smallest shape whose isolated level is not 0: (11, 10) mod 3."""
+def test_construct_pointed_with_offset_level(monkeypatch):
+    """Smallest shape whose isolated level is not 0: (11, 10) mod 3.
+
+    The witness is a plain sum, so no GF(p) elimination is reached.
+    """
+    def refuse(*args, **kwargs):
+        raise AssertionError("GF(p) elimination reached")
+    monkeypatch.setattr("spechtdesigns.linalg._eliminate", refuse)
     u = construct_pointed(11, 10, 3)
     s = spectrum(u)
     assert s.levels == (0, 1, 0, 0, 0, 0, 0, 0, 0, 0)
     assert verify_hemmer(u).is_hemmer
+
+
+def carrier_weighted_sum(u0: Element, carrier: Element, bhat: int) -> np.ndarray:
+    """The carrier route of the pointed construction, kept as the reference:
+    every bhat-subset S of each carrier block B, adjoined to u0 and
+    weighted by the block's coefficient c_B."""
+    acc = 0
+    for members, c in carrier.support():
+        for sub in combinations(members, bhat):
+            acc = acc + c * adjoin(u0, sub).vec
+    return acc % u0.p
+
+
+def test_carrier_weighted_sum_equals_plain_sum():
+    """A carrier whose level-bhat sums are all 1 mod p weights every
+    adjoined copy of u0 by 1, whatever its block size."""
+    p = 3
+    rng = np.random.default_rng(41)
+    ran = 0
+    for n0, b0 in [(5, 2), (7, 3)]:
+        u0 = Element(n0, b0, p, rng.integers(0, p, math.comb(n0, b0)))
+        for bhat in (1, 2):
+            n = n0 + bhat
+            plain = sum(adjoin(u0, sub).vec for sub in combinations(range(1, n + 1), bhat))
+            for k in range(bhat + 1, n):
+                carrier = find_t_design_fp(DesignParams(n, k, bhat, p), 1)
+                if carrier is None:
+                    continue
+                assert np.array_equal(carrier_weighted_sum(u0, carrier, bhat), plain % p)
+                ran += 1
+    assert ran > 0
 
 
 def test_hemmer_stable_under_kernel_and_ones_shifts():
