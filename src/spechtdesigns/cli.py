@@ -123,8 +123,7 @@ def _cmd_construct(args) -> None:
     doc = element_to_json(u)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2 if args.pretty else None)
-            fh.write("\n")
+            fh.write(json.dumps(doc, indent=2 if args.pretty else None) + "\n")
     else:
         _emit(args, doc)
 

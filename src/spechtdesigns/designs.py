@@ -27,12 +27,12 @@ from .tabloid import (
     _MAX_SUBSETS,
     Element,
     Partition2,
+    _ranks,
+    _require_listable,
     inclusion_stack,
-    mask_from_members,
     psi,
     psi_int,
     psi_levels,
-    subsets_colex,
 )
 
 __all__ = [
@@ -224,16 +224,22 @@ def find_t_design_fp(params: DesignParams, target: int) -> Element | None:
     return _solve_levels_fp(params.g, params.b, params.p, {params.t: target})
 
 
-def integral_design_exists(g: int, b: int, t: int, mu) -> bool:
-    """Ratio criterion over Z: (g-s) mu_{s+1} = (b-s) mu_s for all s < t.
-
-    mu lists the prescribed level constants mu_0..mu_t.
-    """
+def _level_constants(g: int, b: int, t: int, mu) -> list[int]:
+    """mu_0..mu_t as ints, after checking their count and 0 <= t < b <= g."""
     mus = [int(x) for x in mu]
     if len(mus) != t + 1:
         raise ValueError(f"need {t + 1} level constants mu_0..mu_{t}, got {len(mus)}")
     if not 0 <= t < b <= g:
         raise ValueError(f"need 0 <= t < b <= g, got g={g}, b={b}, t={t}")
+    return mus
+
+
+def integral_design_exists(g: int, b: int, t: int, mu) -> bool:
+    """Ratio criterion over Z: (g-s) mu_{s+1} = (b-s) mu_s for all s < t.
+
+    mu lists the prescribed level constants mu_0..mu_t.
+    """
+    mus = _level_constants(g, b, t, mu)
     return all((g - s) * mus[s + 1] == (b - s) * mus[s] for s in range(t))
 
 
@@ -268,11 +274,7 @@ def construct_integral_design(g: int, b: int, t: int, mu) -> IntegerDesign | Non
     consulted here: this is the independent route the ratio criterion is
     checked against. The output is verified level by level before return.
     """
-    mus = [int(x) for x in mu]
-    if len(mus) != t + 1:
-        raise ValueError(f"need {t + 1} level constants mu_0..mu_{t}, got {len(mus)}")
-    if not 0 <= t < b <= g:
-        raise ValueError(f"need 0 <= t < b <= g, got g={g}, b={b}, t={t}")
+    mus = _level_constants(g, b, t, mu)
     # the solver holds the rows x cols system and a cols x cols unimodular U
     cols = math.comb(g, b)
     cells = cols * (sum(math.comb(g, s) for s in range(t + 1)) + cols)
@@ -314,21 +316,15 @@ def null_design_generator(g: int, b: int, t: int, pairs, fixed=()) -> IntegerDes
         raise ValueError("pairs and fixed points must be pairwise disjoint")
     if any(not 1 <= z <= g for z in flat):
         raise ValueError(f"points must lie in [1, {g}]")
-    masks = subsets_colex(g, b)
-    vec = [0] * len(masks)
-    for picks in range(1 << (t + 1)):
-        members = list(fx)
-        ycount = 0
-        for i, (x, y) in enumerate(ps):
-            if picks >> i & 1:
-                members.append(x)
-            else:
-                members.append(y)
-                ycount += 1
-        mask = mask_from_members(members, g)
-        idx = int(np.searchsorted(masks, mask))
-        vec[idx] += -1 if ycount % 2 else 1
-    return IntegerDesign(g, b, tuple(vec))
+    # with the points distinct and in [1, g], the 2^(t+1) blocks are distinct
+    # b-subsets, so there are at most C(g, b) of them
+    vec = np.zeros(_require_listable(g, b), dtype=np.int64)
+    xy = np.array(ps, dtype=np.int64).reshape(t + 1, 2)
+    picks = np.arange(1 << (t + 1))[:, None] >> np.arange(t + 1) & 1  # 1: pick x
+    blocks = np.hstack([np.where(picks == 1, xy[:, 0], xy[:, 1]),
+                        np.tile(np.array(fx, dtype=np.int64), (len(picks), 1))])
+    vec[_ranks(g, b, np.sort(blocks, axis=1))] = (-1) ** (t + 1 - picks.sum(axis=1))
+    return IntegerDesign(g, b, tuple(vec.tolist()))
 
 
 @dataclass(frozen=True)
@@ -358,6 +354,12 @@ def poset_X(a: int, b: int, p: int) -> PosetX:
     """Compute the level poset of the partition (a, b) mod p."""
     Partition2(a, b)
     require_odd_prime(p)
+    pairs = math.comb(b, 2)  # the component merge visits every pair of members
+    if pairs > _MAX_SUBSETS:
+        raise ValueError(
+            f"poset of b = {b} levels has C({b}, 2) = {pairs} level pairs, "
+            f"over the limit of {_MAX_SUBSETS}"
+        )
     ell = p_adic_length(b, p)
     da = digits_base_p(a, p)
     members = []

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass
 
 from .designs import constant_level_system
@@ -23,7 +22,13 @@ from .numtheory import (
     p_adic_val,
     require_odd_prime,
 )
-from .tabloid import Partition2, f_lambda, james_check, specht_membership
+from .tabloid import (
+    Partition2,
+    _require_columns,
+    f_lambda,
+    james_check,
+    specht_membership,
+)
 
 __all__ = [
     "Classification",
@@ -134,11 +139,7 @@ def brute_force_h1(a: int, b: int, p: int, budget: int = 4000) -> H1Report:
     Partition2(a, b)
     require_odd_prime(p)
     n = a + b
-    ncols = math.comb(n, b)
-    if ncols > budget:
-        raise ValueError(
-            f"C({n}, {b}) = {ncols} exceeds the budget of {budget} columns"
-        )
+    ncols = _require_columns(n, b, budget)
     # the raw system is dropped once reduced mod p: only one copy and the
     # elimination's working copy are alive while it runs
     system = MatFp(constant_level_system(n, b, range(b)), p)

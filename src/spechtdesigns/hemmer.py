@@ -30,9 +30,9 @@ from .numtheory import binom_mod_p, p_adic_length, p_adic_val, require_odd_prime
 from .tabloid import (
     Element,
     Partition2,
+    _require_columns,
     _require_listable,
     f_lambda,
-    mask_from_members,
     subsets_colex,
 )
 
@@ -116,7 +116,7 @@ def adjoin(u: Element, new_points) -> Element:
     n2 = u.n + k
     if pts and not (1 <= pts[0] and pts[-1] <= n2):
         raise ValueError(f"new points must lie in [1, {n2}]")
-    ymask = mask_from_members(pts, n2)
+    ymask = sum(1 << (q - 1) for q in pts)
     keep = [i for i in range(n2) if not ymask >> i & 1]
     old = subsets_colex(u.n, u.b)
     out = np.zeros(len(old), dtype=np.int64)
@@ -288,11 +288,7 @@ def find_hemmer_by_solver(a: int, b: int, p: int, budget: int = 4000) -> Element
     Partition2(a, b)
     require_odd_prime(p)
     n = a + b
-    ncols = math.comb(n, b)
-    if ncols > budget:
-        raise ValueError(
-            f"C({n}, {b}) = {ncols} exceeds the budget of {budget} columns"
-        )
+    ncols = _require_columns(n, b, budget)
     sf = _f_spectrum(a, b, p)
     for k in kernel_basis_fp(MatFp(constant_level_system(n, b, range(b)), p)):
         s = Spectrum(p, tuple(int(x) for x in k[ncols:]))

@@ -5,6 +5,13 @@ A tabloid of shape (n-b, b) is determined by its second row, a b-subset of
 colexicographic order, which on fixed-size subsets coincides with numeric
 order of the masks. Vectors of coefficients are indexed by that order.
 
+The block index works on whole arrays. subsets_colex builds each listing
+by the Pascal recursion: the k-subsets of [n] without n, then those with
+n, listing(n, k) = listing(n-1, k) ++ (listing(n-1, k-1) | 2^(n-1))
+(Knuth, TAOCP 4A, 7.2.1.3). _ranks maps an (m, k) array of member rows
+to colex indices and is the one place that validates members; _members
+maps indices back to member rows.
+
 psi_v sends a b-subset to the formal sum of its v-subsets. Its matrix is
 the 0/1 inclusion matrix W_{v,b} of v-subsets into b-subsets. One walk
 from level b down computes every level: a step deletes a single element
@@ -18,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -29,9 +35,6 @@ from .numtheory import all_binoms_divisible, require_odd_prime
 __all__ = [
     "Partition2",
     "subsets_colex",
-    "mask_from_members",
-    "members_from_mask",
-    "colex_rank",
     "Element",
     "f_lambda",
     "psi",
@@ -63,6 +66,14 @@ def _require_listable(n: int, k: int) -> int:
     return size
 
 
+def _require_columns(n: int, b: int, budget: int) -> int:
+    """Return C(n, b); refuse it above a solver's column budget."""
+    ncols = math.comb(n, b)
+    if ncols > budget:
+        raise ValueError(f"C({n}, {b}) = {ncols} exceeds the budget of {budget} columns")
+    return ncols
+
+
 @dataclass(frozen=True, slots=True)
 class Partition2(object):
     """Two-row partition (a, b) with a >= b >= 1."""
@@ -85,52 +96,52 @@ class Partition2(object):
 def subsets_colex(n: int, k: int) -> np.ndarray:
     """All k-subset masks of [n] in colex (= numeric) order, read-only."""
     _require_listable(n, k)
-    if k == 0:
-        arr = np.array([0], dtype=np.int64)
-    else:
-        out = []
-        x = (1 << k) - 1
-        limit = 1 << n
-        while x < limit:  # Gosper's hack: next mask with the same popcount
-            out.append(x)
-            u = x & -x
-            v = x + u
-            x = v | (((x ^ v) // u) >> 2)
-        arr = np.array(out, dtype=np.int64)
+    if k in (0, n):
+        arr = np.array([(1 << k) - 1], dtype=np.int64)
+    else:  # the k-subsets without n, then those with n
+        arr = np.concatenate((subsets_colex(n - 1, k),
+                              subsets_colex(n - 1, k - 1) | (1 << (n - 1))))
     arr.setflags(write=False)
     return arr
 
 
-def mask_from_members(members: Iterable[int], n: int) -> int:
-    m = 0
-    for x in members:
-        if not 1 <= x <= n:
-            raise ValueError(f"member {x} outside ground set [1, {n}]")
-        bit = 1 << (x - 1)
-        if m & bit:
-            raise ValueError(f"repeated member {x}")
-        m |= bit
-    return m
+def _ranks(n: int, k: int, sets) -> np.ndarray:
+    """Colex indices of the k-subsets of [n] given as m rows of members.
+
+    Refuses rows that are not k ints in [1, n], not strictly ascending, or
+    repeated; the first offending row is named.
+    """
+    try:
+        s = np.asarray(sets, dtype=np.int64).reshape(len(sets), k)
+    except (OverflowError, ValueError):
+        raise ValueError(f"sets must be rows of {k} ints in [1, {n}]") from None
+
+    def refuse(bad: np.ndarray, why: str) -> None:
+        if bad.any():
+            raise ValueError(f"set {s[np.argmax(bad)].tolist()} {why}")
+
+    refuse(((s < 1) | (s > n)).any(axis=1), f"has a member outside [1, {n}]")
+    refuse((s[:, 1:] <= s[:, :-1]).any(axis=1), "must be strictly ascending")
+    masks = np.zeros(len(s), dtype=np.int64)
+    for col in s.T:  # one column at a time keeps temporaries to m entries
+        masks |= np.int64(1) << (col - 1)
+    idx = np.searchsorted(subsets_colex(n, k), masks)
+    first = np.zeros(len(idx), dtype=bool)
+    first[np.unique(idx, return_index=True)[1]] = True
+    refuse(~first, "is repeated")
+    return idx
 
 
-def members_from_mask(mask: int) -> tuple[int, ...]:
-    out = []
-    pos = 1
-    while mask:
-        if mask & 1:
-            out.append(pos)
-        mask >>= 1
-        pos += 1
-    return tuple(out)
-
-
-def colex_rank(mask: int, n: int, k: int) -> int:
-    """Index of a k-subset mask within subsets_colex(n, k)."""
-    arr = subsets_colex(n, k)
-    i = int(np.searchsorted(arr, mask))
-    if i >= len(arr) or int(arr[i]) != mask:
-        raise ValueError(f"mask {mask:#x} is not a {k}-subset of [{n}]")
-    return i
+def _members(n: int, k: int, idx: np.ndarray) -> np.ndarray:
+    """The (m, k) ascending member rows of the colex indices idx."""
+    masks = subsets_colex(n, k)[idx]
+    bits = np.int64(1) << np.arange(n, dtype=np.int64)
+    out = np.empty((len(masks), k), dtype=np.int64)
+    for j in range(k):  # peel off the lowest set bit
+        low = masks & -masks
+        out[:, j] = np.searchsorted(bits, low) + 1
+        masks ^= low
+    return out
 
 
 class Element:
@@ -146,10 +157,10 @@ class Element:
 
     def __init__(self, n: int, b: int, p: int, vec):
         _require_word_prime(p)
-        if not 1 <= b <= n <= _MAX_GROUND:
-            raise ValueError(f"need 1 <= b <= n <= {_MAX_GROUND}, got n={n}, b={b}")
+        if b < 1:
+            raise ValueError(f"need b >= 1, got b={b}")
+        want = _require_listable(n, b)
         arr = np.asarray(vec, dtype=np.int64) % p
-        want = math.comb(n, b)
         if arr.shape != (want,):
             raise ValueError(f"coefficient vector must have length C({n},{b}) = {want}")
         self.n = n
@@ -163,31 +174,26 @@ class Element:
 
     @classmethod
     def zero(cls, n: int, b: int, p: int) -> "Element":
-        return cls(n, b, p, np.zeros(math.comb(n, b), dtype=np.int64))
+        return cls(n, b, p, np.zeros(_require_listable(n, b), dtype=np.int64))
 
     @classmethod
     def ones(cls, n: int, b: int, p: int) -> "Element":
-        return cls(n, b, p, np.ones(math.comb(n, b), dtype=np.int64))
+        return cls(n, b, p, np.ones(_require_listable(n, b), dtype=np.int64))
 
     @classmethod
     def from_subsets(cls, n: int, b: int, p: int,
                      coeffs: Mapping[tuple[int, ...], int]) -> "Element":
-        vec = np.zeros(math.comb(n, b), dtype=np.int64)
-        for members, c in coeffs.items():
-            ms = tuple(sorted(members))
-            if len(ms) != b:
-                raise ValueError(f"subset {ms} does not have size {b}")
-            vec[colex_rank(mask_from_members(ms, n), n, b)] = c % p
+        vec = np.zeros(_require_listable(n, b), dtype=np.int64)
+        vec[_ranks(n, b, [sorted(ms) for ms in coeffs])] = [c % p for c in coeffs.values()]
         return cls(n, b, p, vec)
 
     def support(self) -> Iterator[tuple[tuple[int, ...], int]]:
         """Nonzero (members, coeff) pairs in colex order."""
-        masks = subsets_colex(self.n, self.b)
-        for i in np.nonzero(self.vec)[0]:
-            yield members_from_mask(int(masks[i])), int(self.vec[i])
+        idx = np.flatnonzero(self.vec)
+        return zip(map(tuple, _members(self.n, self.b, idx).tolist()), self.vec[idx].tolist())
 
     def coeff(self, members: Iterable[int]) -> int:
-        return int(self.vec[colex_rank(mask_from_members(members, self.n), self.n, self.b)])
+        return int(self.vec[_ranks(self.n, self.b, [sorted(members)])[0]])
 
     def is_zero(self) -> bool:
         return not self.vec.any()
@@ -362,13 +368,13 @@ def h0_dim(parts, p: int) -> int:
 
 def element_to_json(u: Element) -> dict:
     """Canonical JSON form: entries sorted by colex rank, coeffs in [0, p)."""
+    idx = np.flatnonzero(u.vec)
+    sets = _members(u.n, u.b, idx).tolist()
     return {
         "p": u.p,
         "a": u.a,
         "b": u.b,
-        "entries": [
-            {"set": list(members), "coeff": c} for members, c in u.support()
-        ],
+        "entries": [{"set": s, "coeff": c} for s, c in zip(sets, u.vec[idx].tolist())],
     }
 
 
@@ -383,7 +389,7 @@ def element_from_json(obj) -> Element:
     for name, val in (("p", p), ("a", a), ("b", b)):
         if not isinstance(val, int) or isinstance(val, bool):
             raise ValueError(f"field {name!r} must be an int")
-    require_odd_prime(p)
+    _require_word_prime(p)
     if a < 0 or b < 1:
         raise ValueError(f"need a >= 0 and b >= 1, got a={a}, b={b}")
     n = a + b
@@ -391,22 +397,16 @@ def element_from_json(obj) -> Element:
     if not isinstance(entries, list):
         raise ValueError("entries must be a list")
     vec = np.zeros(_require_listable(n, b), dtype=np.int64)
-    seen = set()
-    for e in entries:
-        if not isinstance(e, dict) or set(e) != {"set", "coeff"}:
+    sets, coeffs = [], []
+    for e in entries:  # structure only; _ranks checks range, order and repeats
+        if not isinstance(e, dict) or e.keys() != {"set", "coeff"}:
             raise ValueError(f"bad entry {e!r}: need exactly 'set' and 'coeff'")
         s, c = e["set"], e["coeff"]
-        if not isinstance(s, list) or len(s) != b:
-            raise ValueError(f"entry set {s!r} must list {b} members")
-        if any(not isinstance(x, int) or isinstance(x, bool) for x in s):
-            raise ValueError(f"entry set {s!r} must hold ints")
-        if any(s[i] >= s[i + 1] for i in range(len(s) - 1)):
-            raise ValueError(f"entry set {s!r} must be strictly ascending")
-        if not isinstance(c, int) or isinstance(c, bool) or not 0 <= c < p:
+        if not isinstance(s, list) or len(s) != b or set(map(type, s)) != {int}:
+            raise ValueError(f"entry set {s!r} must list {b} ints")
+        if type(c) is not int or not 0 <= c < p:
             raise ValueError(f"coeff {c!r} must be an int in [0, {p})")
-        mask = mask_from_members(s, n)
-        if mask in seen:
-            raise ValueError(f"duplicate set {s!r}")
-        seen.add(mask)
-        vec[colex_rank(mask, n, b)] = c
+        sets.append(s)
+        coeffs.append(c)
+    vec[_ranks(n, b, sets)] = coeffs
     return Element(n, b, p, vec)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -57,6 +58,25 @@ def test_construct_verify_pipeline(tmp_path, capsys):
     assert report["spectrum"]["levels"][0]["mu"] == 1
 
 
+def test_construct_out_bytes(tmp_path, capsys):
+    # the (4,3) mod 3 base witness: every 3-subset of {3..7}, in colex order
+    sets = [[3, 4, 5], [3, 4, 6], [3, 5, 6], [4, 5, 6], [3, 4, 7],
+            [3, 5, 7], [4, 5, 7], [3, 6, 7], [4, 6, 7], [5, 6, 7]]
+    plain = ('{"p": 3, "a": 4, "b": 3, "entries": ['
+             + ", ".join(f'{{"set": {s}, "coeff": 1}}' for s in sets) + "]}\n")
+    out_file = tmp_path / "plain.json"
+    rc, _, _ = run_cli(capsys, "construct", "--a", "4", "--b", "3", "--p", "3",
+                       "--out", str(out_file))
+    assert rc == 0 and out_file.read_bytes() == plain.encode()
+    out_file = tmp_path / "pretty.json"
+    rc, _, _ = run_cli(capsys, "--pretty", "construct", "--a", "4", "--b", "3", "--p", "3",
+                       "--out", str(out_file))
+    pretty = out_file.read_bytes()
+    assert rc == 0 and len(pretty) == 912 and pretty.endswith(b"\n  ]\n}\n")
+    assert hashlib.sha256(pretty).hexdigest() == (
+        "aa05643e8b7c9681dd376a259697bfd056b667ae6b8ca3516eef97f2d20c6f0f")
+
+
 def test_construct_methods_agree_on_spectrum(capsys):
     rc, auto_out, _ = run_cli(capsys, "construct", "--a", "8", "--b", "3", "--p", "3")
     assert rc == 0
@@ -111,6 +131,17 @@ def test_verify_word_size_prime_exits_2(tmp_path, capsys):
     # the digit arithmetic behind classify has no word-size limit
     rc, out, _ = run_cli(capsys, "classify", "--a", "3", "--b", "3", "--p", str(big))
     assert rc == 0 and json.loads(out)["kind"] == "neither"
+
+
+def test_verify_prime_above_int64_exits_2(tmp_path, capsys):
+    # the coefficient does not fit int64; the modulus is refused before it is read
+    p = 100000000000000000039
+    doc = tmp_path / "huge_p.json"
+    doc.write_text(json.dumps({"p": p, "a": 2, "b": 1, "entries": [
+        {"set": [1], "coeff": p - 40}
+    ]}))
+    rc, _, err = run_cli(capsys, "verify", "--file", str(doc))
+    assert rc == 2 and "2^31" in err
 
 
 def test_design_fp(capsys):
@@ -280,6 +311,12 @@ def test_construct_huge_james_shape_exits_2(method):
                    "--p", "1000000007", "--method", method, timeout=20)
     assert r.returncode == 2
     assert "n <= 62" in r.stderr
+
+
+def test_poset_huge_shape_exits_2():
+    r = run_capped("poset", "--a", "1000000", "--b", "1000000", "--p", "3", timeout=20)
+    assert r.returncode == 2
+    assert "C(1000000, 2) = 499999500000 level pairs" in r.stderr
 
 
 def test_verify_huge_ground_exits_2(tmp_path):

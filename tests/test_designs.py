@@ -39,8 +39,8 @@ from spechtdesigns.tabloid import (
 BIG_PRIME = 10007
 
 
-def all_pods(g: int, b: int, t: int):
-    """Every signed generator with x < y in each pair, over all matchings."""
+def pod_args(g: int, b: int, t: int):
+    """(pairs, fixed) of every signed generator with x < y in each pair."""
 
     def matchings(points):
         if not points:
@@ -59,7 +59,13 @@ def all_pods(g: int, b: int, t: int):
         for pairs in matchings(list(chosen)):
             remaining = [x for x in range(1, g + 1) if x not in chosen]
             for fixed in itertools.combinations(remaining, b - t - 1):
-                yield null_design_generator(g, b, t, pairs, fixed)
+                yield pairs, fixed
+
+
+def all_pods(g: int, b: int, t: int):
+    """Every signed generator with x < y in each pair, over all matchings."""
+    for pairs, fixed in pod_args(g, b, t):
+        yield null_design_generator(g, b, t, pairs, fixed)
 
 
 def test_design_params_validation():
@@ -288,6 +294,21 @@ def test_null_generator_strength_and_validation():
         null_design_generator(6, 3, 1, [(1, 2), (3, 7)], (5,))  # out of range
 
 
+def test_null_generator_matches_block_loop():
+    # reference: one block at a time, ranked in colex (largest members first)
+    for g, b, t in [(5, 2, 1), (6, 3, 1), (7, 3, 2), (7, 4, 1)]:
+        rank = {c: i for i, c in enumerate(
+            sorted(itertools.combinations(range(1, g + 1), b), key=lambda c: c[::-1]))}
+        for pairs, fixed in pod_args(g, b, t):
+            want = [0] * len(rank)
+            for picks in itertools.product((0, 1), repeat=t + 1):
+                block = tuple(sorted([xy[i] for xy, i in zip(pairs, picks)] + list(fixed)))
+                want[rank[block]] = (-1) ** sum(picks)
+            d = null_design_generator(g, b, t, pairs, fixed)
+            assert d.coeffs == tuple(want)
+            assert all(type(c) is int for c in d.coeffs)
+
+
 def test_pods_span_integral_null_space():
     # span of the signed generators has the full nullity of the level map,
     # certified over one big prime; containment is checked exactly over Z
@@ -334,6 +355,14 @@ def test_level_map_sends_null_space_onto_null_space():
                     inclusion_matrix(g, t, t + 1, p=BIG_PRIME)
                 )
                 assert rank_fp(MatFp(img, BIG_PRIME)) == want
+
+
+def test_poset_refuses_too_many_level_pairs():
+    # C(2897, 2) = 4194856 pairs is the first count above the 2^22 limit
+    with pytest.raises(ValueError, match="C\\(2897, 2\\) = 4194856 level pairs"):
+        poset_X(2897, 2897, 3)
+    with pytest.raises(ValueError, match="level pairs"):
+        poset_X(1000000, 1000000, 3)
 
 
 def test_poset_examples():

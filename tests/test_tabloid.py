@@ -1,5 +1,6 @@
 import json
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from spechtdesigns.linalg import MatFp, MatZ, rank_fp
 from spechtdesigns.tabloid import (
     Element,
     Partition2,
-    colex_rank,
+    _members,
+    _ranks,
     element_from_json,
     element_to_json,
     f_lambda,
@@ -18,8 +20,6 @@ from spechtdesigns.tabloid import (
     inclusion_matrix,
     inclusion_stack,
     james_check,
-    mask_from_members,
-    members_from_mask,
     psi,
     psi_int,
     psi_levels,
@@ -54,29 +54,62 @@ def test_subsets_colex_order_and_content():
         subsets_colex(63, 1)
 
 
+def gosper_colex(n, k):
+    """Reference listing: Gosper's hack steps to the next mask with the same popcount."""
+    if k == 0:
+        return [0]
+    out = []
+    x = (1 << k) - 1
+    while x < 1 << n:
+        out.append(x)
+        u = x & -x
+        v = x + u
+        x = v | (((x ^ v) // u) >> 2)
+    return out
+
+
+def test_subsets_colex_matches_gosper():
+    subsets_colex.cache_clear()  # rebuild every listing through the recursion
+    for n in range(21):
+        for k in range(n + 1):
+            assert subsets_colex(n, k).tolist() == gosper_colex(n, k), (n, k)
+    for n, k in [(62, 1), (62, 2), (30, 3)]:
+        assert subsets_colex(n, k).tolist() == gosper_colex(n, k), (n, k)
+    assert not subsets_colex(62, 2).flags.writeable
+
+
 def test_mask_round_trip_examples():
-    m = mask_from_members([2, 4, 5], 6)
-    assert m == 0b011010
-    assert members_from_mask(m) == (2, 4, 5)
-    assert colex_rank(m, 6, 3) == int(np.searchsorted(subsets_colex(6, 3), m))
-    with pytest.raises(ValueError):
-        mask_from_members([0], 6)
-    with pytest.raises(ValueError):
-        mask_from_members([7], 6)
-    with pytest.raises(ValueError):
-        mask_from_members([2, 2], 6)
-    with pytest.raises(ValueError):
-        colex_rank(0b11, 6, 3)  # wrong popcount
+    idx = _ranks(6, 3, [[2, 4, 5]])
+    assert int(subsets_colex(6, 3)[idx[0]]) == 0b011010
+    assert _members(6, 3, idx).tolist() == [[2, 4, 5]]
+    assert _ranks(6, 3, []).shape == (0,)
+    assert _members(6, 3, np.array([], dtype=np.int64)).shape == (0, 3)
+    for bad in (
+        [[0, 1, 2]],  # out of range below
+        [[1, 2, 7]],  # out of range above
+        [[2, 2, 3]],  # repeated member
+        [[3, 2, 1]],  # not ascending
+        [[1, 2]],  # wrong size
+        [[1, 2, 3, 4]],  # wrong size
+        [[1, 2], [1, 2, 3]],  # ragged
+        [[1, 2, 2**70]],  # beyond int64
+        [[1, 2, 3], [2, 3, 4], [1, 2, 3]],  # repeated set
+    ):
+        with pytest.raises(ValueError):
+            _ranks(6, 3, bad)
 
 
 @given(st.integers(min_value=1, max_value=14), st.data())
 def test_colex_rank_enumerates_in_order(n, data):
     k = data.draw(st.integers(min_value=0, max_value=n))
     arr = subsets_colex(n, k)
-    for i in range(len(arr)):
-        mask = int(arr[i])
-        assert colex_rank(mask, n, k) == i
-        assert mask_from_members(members_from_mask(mask), n) == mask
+    idx = np.arange(len(arr))
+    rows = _members(n, k, idx)
+    # colex: compare the largest members first
+    assert rows.tolist() == [list(c) for c in sorted(combinations(range(1, n + 1), k),
+                                                     key=lambda c: c[::-1])]
+    assert (_ranks(n, k, rows) == idx).all()
+    assert ((1 << (rows - 1)).sum(axis=1) == arr).all()
 
 
 def test_element_arithmetic():
@@ -110,10 +143,27 @@ def test_element_validation():
         Element.from_subsets(4, 2, 3, {(1, 2, 3): 1})
     with pytest.raises(ValueError):
         Element(4, 2, 4, np.zeros(6))  # modulus not prime
+    with pytest.raises(ValueError):
+        Element.from_subsets(4, 2, 3, {(1, 2): 1, (2, 1): 2})  # one subset twice
+    with pytest.raises(ValueError):
+        Element.ones(4, 2, 3).coeff([1, 5])
     u = Element.from_subsets(4, 2, 3, {(1, 2): 1})
     w = Element.from_subsets(4, 2, 5, {(1, 2): 1})
     with pytest.raises(ValueError):
         u + w
+
+
+def test_element_size_guard():
+    # C(40, 20) entries would be 1 TiB and C(34, 17) 17.4 GiB; both refuse first
+    for make in (Element.zero, Element.ones):
+        with pytest.raises(ValueError, match="C\\(40, 20\\)"):
+            make(40, 20, 3)
+    with pytest.raises(ValueError, match="C\\(40, 20\\)"):
+        Element.from_subsets(40, 20, 3, {})
+    with pytest.raises(ValueError, match="C\\(34, 17\\)"):
+        f_lambda(17, 17, 3)
+    with pytest.raises(ValueError, match="n <= 62"):
+        Element(63, 1, 3, [])
 
 
 def test_composition_ground_is_allowed():
@@ -127,10 +177,9 @@ def test_composition_ground_is_allowed():
 def test_worked_example_base_block_sums():
     """The (3,3) mod 3 element supported on all 3-subsets of {2..6}."""
     subsets = {}
-    for m in range(len(subsets_colex(6, 3))):
-        members = members_from_mask(int(subsets_colex(6, 3)[m]))
+    for members in _members(6, 3, np.arange(20)).tolist():
         if 1 not in members:
-            subsets[members] = 1
+            subsets[tuple(members)] = 1
     u = Element.from_subsets(6, 3, 3, subsets)
     assert sum(1 for _ in u.support()) == 10
     assert not psi(u, 2).any()
@@ -299,6 +348,24 @@ def test_element_json_rejects_bad_schema():
     d = json.loads(json.dumps(good))
     d["p"] = 4
     bads.append(d)  # composite modulus
+    d = json.loads(json.dumps(good))
+    d["entries"][0]["set"] = [True, 2]
+    bads.append(d)  # bool member
+    d = json.loads(json.dumps(good))
+    d["entries"][0]["coeff"] = True
+    bads.append(d)  # bool coeff
+    d = json.loads(json.dumps(good))
+    d["entries"][0]["set"] = [1, 5]
+    bads.append(d)  # member out of range
+    d = json.loads(json.dumps(good))
+    d["entries"][0]["set"] = {"1": 1, "2": 2}
+    bads.append(d)  # set not a list
+    d = json.loads(json.dumps(good))
+    d["entries"][0] = [[1, 2], 1]
+    bads.append(d)  # entry not a dict
+    d = json.loads(json.dumps(good))
+    d["p"] = 100000000000000000039
+    bads.append(d)  # prime too large for int64 residues
     for bad in bads:
         with pytest.raises(ValueError):
             element_from_json(bad)
