@@ -19,6 +19,7 @@ import numpy as np
 from .linalg import MatFp, MatZ, rank_fp, solve_affine_fp, solve_integer
 from .numtheory import (
     binom_mod_p,
+    binom_val_p,
     digits_base_p,
     p_adic_length,
     require_odd_prime,
@@ -29,7 +30,7 @@ from .tabloid import (
     Partition2,
     _ranks,
     _require_listable,
-    inclusion_stack,
+    constant_level_system,
     psi,
     psi_int,
     psi_levels,
@@ -53,7 +54,6 @@ __all__ = [
     "null_design_generator",
     "level_design_exists",
     "poset_X",
-    "constant_level_system",
     "constant_space_dim",
 ]
 
@@ -208,10 +208,13 @@ def wilson_exists(g: int, b: int, t: int, p: int) -> bool:
 def _solve_levels_fp(g: int, b: int, p: int, targets: dict[int, int]) -> Element | None:
     """Canonical echelon element (free coordinates zero) whose level-s sums
     are all targets[s] mod p, or None when there is none."""
-    system = MatFp(inclusion_stack(g, b, list(targets))[0], p)  # raw stack dropped here
-    rhs = np.repeat([mu % p for mu in targets.values()], [math.comb(g, s) for s in targets])
-    sol = solve_affine_fp(system, rhs)
-    return None if sol.particular is None else Element(g, b, p, sol.particular)
+    system = constant_level_system(g, b, targets)
+    ncols = system.shape[1] - len(targets)
+    rhs = -(system[:, ncols:] @ np.array([mu % p for mu in targets.values()], dtype=np.int64))
+    elements = MatFp(system[:, :ncols], p)
+    del system  # the raw system is freed before the solve copies the reduced one
+    x = solve_affine_fp(elements, rhs)
+    return None if x is None else Element(g, b, p, x)
 
 
 def find_t_design_fp(params: DesignParams, target: int) -> Element | None:
@@ -283,11 +286,9 @@ def construct_integral_design(g: int, b: int, t: int, mu) -> IntegerDesign | Non
             f"integer solve on C({g}, {b}) = {cols} columns needs {cells} cells, "
             f"over the limit of {_MAX_SUBSETS}"
         )
-    stack, offsets = inclusion_stack(g, b, range(t + 1))
-    rhs: list[int] = []
-    for s in range(t + 1):
-        rhs.extend([mus[s]] * (offsets[s + 1] - offsets[s]))
-    x = solve_integer(MatZ.from_numpy(stack), rhs)
+    system = constant_level_system(g, b, range(t + 1))
+    rhs = system[:, cols:].astype(object) @ np.array([-m for m in mus], dtype=object)
+    x = solve_integer(MatZ.from_numpy(system[:, :cols]), rhs.tolist())
     if x is None:
         return None
     design = IntegerDesign(g, b, tuple(x))
@@ -376,7 +377,7 @@ def poset_X(a: int, b: int, p: int) -> PosetX:
         return x
 
     for i, j in combinations(members, 2):  # i < j
-        if binom_mod_p(b - i, j - i, p) != 0:
+        if binom_val_p(b - i, j - i, p) == 0:  # Kummer: no carry, so C != 0 mod p
             parent[find(i)] = find(j)
     groups: dict[int, list[int]] = {}
     for j in members:
@@ -385,23 +386,6 @@ def poset_X(a: int, b: int, p: int) -> PosetX:
         tuple(sorted(g)) for g in sorted(groups.values(), key=min)
     )
     return PosetX(a, b, p, tuple(members), components)
-
-
-def constant_level_system(n: int, b: int, levels) -> np.ndarray:
-    """Augmented matrix whose kernel is the all-chosen-levels-constant space.
-
-    Columns: C(n, b) element coordinates, then one scalar per requested
-    level. A kernel vector (u, c) satisfies psi_v(u) = c_v * ones for each
-    level v; u determines c, so the kernel dimension equals the dimension
-    of the constant-level space.
-    """
-    lv = list(levels)
-    stack, offsets = inclusion_stack(n, b, lv)
-    aug = np.zeros((stack.shape[0], stack.shape[1] + len(lv)), dtype=np.int64)
-    aug[:, : stack.shape[1]] = stack
-    for k in range(len(lv)):
-        aug[offsets[k] : offsets[k + 1], stack.shape[1] + k] = -1
-    return aug
 
 
 def constant_space_dim(n: int, b: int, p: int, levels) -> int:

@@ -14,7 +14,6 @@ import csv
 import io
 from dataclasses import dataclass
 
-from .designs import constant_level_system
 from .linalg import MatFp, rank_fp_prefix
 from .numtheory import (
     all_binoms_divisible_by_digits,
@@ -25,6 +24,7 @@ from .numtheory import (
 from .tabloid import (
     Partition2,
     _require_columns,
+    constant_level_system,
     f_lambda,
     james_check,
     specht_membership,

@@ -20,7 +20,6 @@ import numpy as np
 from .designs import (
     Spectrum,
     _solve_levels_fp,
-    constant_level_system,
     poset_X,
     spectrum,
 )
@@ -32,6 +31,7 @@ from .tabloid import (
     Partition2,
     _require_columns,
     _require_listable,
+    constant_level_system,
     f_lambda,
     subsets_colex,
 )

@@ -14,7 +14,6 @@ echelon form built from unimodular column operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -24,7 +23,6 @@ from .numtheory import require_odd_prime
 __all__ = [
     "MatFp",
     "MatZ",
-    "AffineSolution",
     "rank_fp",
     "rank_fp_prefix",
     "kernel_basis_fp",
@@ -286,16 +284,8 @@ def kernel_basis_fp(a: MatFp) -> list[np.ndarray]:
     basis: vector k for free column f has k[f] = 1 and support otherwise
     only on pivot columns.
     """
-    m, pivots = _eliminate(a.entries.copy(), a.p, full=True)
-    return _kernel_from_rref(m, pivots, a.shape[1], a.p)
-
-
-def _kernel_from_rref(m: np.ndarray, pivots: list[int], cols: int, p: int) -> list[np.ndarray]:
-    """Kernel basis of the first `cols` columns of an RREF with these pivots.
-
-    Vector k for free column f has k[f] = 1, k[c] = -m[i, f] for the i-th
-    pivot column c, and zero elsewhere.
-    """
+    cols, p = a.shape[1], a.p
+    m, pivots = _eliminate(a.entries.copy(), p, full=True)
     pivot_set = set(pivots)
     basis = []
     for f in range(cols):
@@ -308,29 +298,9 @@ def _kernel_from_rref(m: np.ndarray, pivots: list[int], cols: int, p: int) -> li
     return basis
 
 
-@dataclass(frozen=True)
-class AffineSolution:
-    """Solution set of A x = rhs over GF(p): particular + kernel basis.
-
-    particular is None when the system is inconsistent. The kernel basis
-    is only populated on request; wide systems can have an enormous one.
-    """
-
-    particular: np.ndarray | None
-    kernel: tuple[np.ndarray, ...]
-
-    @property
-    def consistent(self) -> bool:
-        return self.particular is not None
-
-
-def solve_affine_fp(a: MatFp, rhs, want_kernel: bool = False) -> AffineSolution:
-    """Solve A x = rhs over GF(p).
-
-    The particular solution is the canonical echelon one (free coordinates
-    zero). Pass want_kernel=True to also get the full kernel basis; it has
-    one vector per free column, so leave it off for wide systems.
-    """
+def solve_affine_fp(a: MatFp, rhs) -> np.ndarray | None:
+    """The canonical echelon solution (free coordinates zero) of A x = rhs
+    over GF(p), or None when the system is inconsistent."""
     p = a.p
     b = np.asarray(rhs, dtype=np.int64).ravel() % p
     if b.shape[0] != a.shape[0]:
@@ -340,15 +310,10 @@ def solve_affine_fp(a: MatFp, rhs, want_kernel: bool = False) -> AffineSolution:
     cols = a.shape[1]
     # a pivot in the rhs column certifies inconsistency
     if pivots and pivots[-1] == cols:
-        particular = None
-        a_pivots = pivots[:-1]
-    else:
-        a_pivots = pivots
-        particular = np.zeros(cols, dtype=np.int64)
-        for i, c in enumerate(a_pivots):
-            particular[c] = m[i, cols]
-    basis = _kernel_from_rref(m, a_pivots, cols, p) if want_kernel else []
-    return AffineSolution(particular=particular, kernel=tuple(basis))
+        return None
+    x = np.zeros(cols, dtype=np.int64)
+    x[pivots] = m[: len(pivots), cols]
+    return x
 
 
 class MatZ:

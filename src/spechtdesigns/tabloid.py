@@ -8,7 +8,8 @@ order of the masks. Vectors of coefficients are indexed by that order.
 The block index works on whole arrays. subsets_colex builds each listing
 by the Pascal recursion: the k-subsets of [n] without n, then those with
 n, listing(n, k) = listing(n-1, k) ++ (listing(n-1, k-1) | 2^(n-1))
-(Knuth, TAOCP 4A, 7.2.1.3). _ranks maps an (m, k) array of member rows
+(Knuth, TAOCP 4A, 7.2.1.3), one row of the triangle at a time; only the
+listings asked for are kept. _ranks maps an (m, k) array of member rows
 to colex indices and is the one place that validates members; _members
 maps indices back to member rows.
 
@@ -18,6 +19,12 @@ from level b down computes every level: a step deletes a single element
 from each k-subset, and since W_{k-1,k} W_{k,b} = (b-k+1) W_{k-1,b}, an
 exact division by b-k+1 turns psi_k into psi_(k-1). The inner loop stays
 vectorised and works on int64 and Python-int entries alike.
+
+Every linear question about the level maps is asked of one matrix, the
+stacked system [W_{v,b} | -E] over the requested levels v, with one
+scalar column per level (R. M. Wilson, Europ. J. Combin. 11, 1990). This
+module owns its layout, and constant_level_system is its one builder;
+inclusion_matrix and the solvers take views of its columns.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -40,8 +48,8 @@ __all__ = [
     "psi",
     "psi_int",
     "psi_levels",
+    "constant_level_system",
     "inclusion_matrix",
-    "inclusion_stack",
     "specht_membership",
     "specht_dim",
     "james_check",
@@ -54,6 +62,9 @@ _MAX_GROUND = 62  # masks live in int64
 # Longest subset listing or element vector accepted: about 12 times the
 # largest shape in the tests and the benchmark, C(21, 10) = 352716.
 _MAX_SUBSETS = 1 << 22
+# Most cells in one level system, 1 GiB of int64. The largest in the tests
+# and the benchmark, construct_james(8, 7, 3), has 9949 x 6442, about 2^26.
+_MAX_CELLS = 1 << 27
 
 
 def _require_listable(n: int, k: int) -> int:
@@ -96,11 +107,17 @@ class Partition2(object):
 def subsets_colex(n: int, k: int) -> np.ndarray:
     """All k-subset masks of [n] in colex (= numeric) order, read-only."""
     _require_listable(n, k)
-    if k in (0, n):
-        arr = np.array([(1 << k) - 1], dtype=np.int64)
-    else:  # the k-subsets without n, then those with n
-        arr = np.concatenate((subsets_colex(n - 1, k),
-                              subsets_colex(n - 1, k - 1) | (1 << (n - 1))))
+    row = {0: np.zeros(1, dtype=np.int64)}  # row m maps j to listing(m, j)
+    for m in range(1, n + 1):
+        nxt = {}
+        # only the j that can still reach listing(n, k)
+        for j in range(max(0, k - n + m), min(k, m) + 1):
+            parts = [row[j]] if j < m else []  # the j-subsets without m
+            if j:
+                parts.append(row[j - 1] | (1 << (m - 1)))  # then those with m
+            nxt[j] = np.concatenate(parts)
+        row = nxt
+    arr = row[k]
     arr.setflags(write=False)
     return arr
 
@@ -292,42 +309,54 @@ def psi(u: Element, v: int) -> np.ndarray:
     return (psi_int(u.n, u.b, u.vec, v) % u.p).astype(np.int64, copy=False)
 
 
-def _inclusion_array(n: int, i: int, b: int) -> np.ndarray:
-    """0/1 matrix: rows i-subsets, cols b-subsets, entry 1 iff row inside col."""
-    rows = subsets_colex(n, i)
-    cols = subsets_colex(n, b)
-    a = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    if len(rows) <= len(cols):
-        for r, y in enumerate(rows):
-            a[r] = (cols & int(y)) == int(y)
-    else:
-        for c, x in enumerate(cols):
-            a[:, c] = (rows & int(x)) == rows
-    return a
+def constant_level_system(n: int, b: int, levels) -> np.ndarray:
+    """Augmented matrix whose kernel is the all-chosen-levels-constant space.
+
+    Columns: C(n, b) element coordinates, then one scalar per requested
+    level. Rows: one block per requested level v, the v-subsets of [n] in
+    colex order; its element columns are W_{v,b} and its scalar column
+    holds -1. A kernel vector (u, c) satisfies psi_v(u) = c_v * ones for
+    each level v; u determines c, so the kernel dimension equals the
+    dimension of the constant-level space.
+
+    Refuses more than _MAX_CELLS cells, then allocates the array once and
+    writes each block in place: every v-combination of member positions
+    is one scatter, over all b-subsets at once, of the v-subset at those
+    positions.
+    """
+    lv = list(levels)
+    ncols = _require_listable(n, b)
+    heights = [math.comb(n, v) for v in lv]
+    rows, width = sum(heights), ncols + len(lv)
+    if rows * width > _MAX_CELLS:
+        raise ValueError(f"level system of {rows} rows x {width} columns = {rows * width} "
+                         f"cells exceeds the limit of {_MAX_CELLS}")
+    out = np.zeros((rows, width), dtype=np.int64)
+    flat = out.reshape(-1)
+    cols = np.arange(ncols)
+    bits = np.int64(1) << (_members(n, b, cols) - 1)  # one column per member position
+    top = 0
+    for k, (v, height) in enumerate(zip(lv, heights)):
+        masks = subsets_colex(n, v)
+        for pos in combinations(range(b), v):
+            sub = np.bitwise_or.reduce(bits[:, list(pos)], axis=1)
+            flat[(top + np.searchsorted(masks, sub)) * width + cols] = 1
+        out[top : top + height, ncols + k] = -1
+        top += height
+    return out
 
 
 def inclusion_matrix(n: int, i: int, b: int, p: int | None = None) -> MatFp | MatZ:
-    """Inclusion matrix of i-subsets into b-subsets of [n]; mod p when given."""
+    """Inclusion matrix W_{i,b} of i-subsets into b-subsets of [n]; mod p when given.
+
+    It is the element columns of constant_level_system(n, b, [i]).
+    """
     if not 0 <= i <= b <= n <= _MAX_GROUND:
         raise ValueError(f"need 0 <= i <= b <= n <= {_MAX_GROUND}")
-    arr = _inclusion_array(n, i, b)
+    arr = constant_level_system(n, b, [i])[:, :-1]
     if p is None:
         return MatZ.from_numpy(arr)
     return MatFp(arr, p)
-
-
-def inclusion_stack(n: int, b: int, levels: Iterable[int]) -> tuple[np.ndarray, list[int]]:
-    """Vertically stacked inclusion matrices and their row offsets.
-
-    Returns (matrix, offsets) with offsets[k] the first row of the k-th
-    requested level block; offsets has one trailing entry = total rows.
-    """
-    lv = list(levels)
-    blocks = [_inclusion_array(n, v, b) for v in lv]
-    offsets = [0]
-    for blk in blocks:
-        offsets.append(offsets[-1] + blk.shape[0])
-    return np.vstack(blocks) if blocks else np.zeros((0, math.comb(n, b)), dtype=np.int64), offsets
 
 
 def specht_membership(u: Element) -> bool:
@@ -339,8 +368,8 @@ def specht_dim(a: int, b: int, p: int) -> int:
     """Dimension over GF(p) of the joint kernel of psi_0..psi_(b-1)."""
     lam = Partition2(a, b)
     require_odd_prime(p)
-    stack, _ = inclusion_stack(lam.n, b, range(b))
-    return math.comb(lam.n, b) - rank_fp(MatFp(stack, p))
+    ncols = math.comb(lam.n, b)
+    return ncols - rank_fp(MatFp(constant_level_system(lam.n, b, range(b))[:, :ncols], p))
 
 
 def _check_partition(parts) -> tuple[int, ...]:

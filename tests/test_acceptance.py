@@ -37,9 +37,9 @@ from spechtdesigns.numtheory import (
 )
 from spechtdesigns.tabloid import (
     Element,
+    constant_level_system,
     f_lambda,
     inclusion_matrix,
-    inclusion_stack,
     psi,
 )
 
@@ -226,7 +226,7 @@ def test_criterion_9_pointed_decomposition():
             n = a + b
             u = construct_pointed(a, b, p)
             f = f_lambda(a, b, p)
-            stack, _ = inclusion_stack(n, b, range(b))
+            stack = constant_level_system(n, b, range(b))[:, : math.comb(n, b)]
             basis = np.array(kernel_basis_fp(MatFp(stack, p)), dtype=np.int64)
             for _ in range(50):
                 coeffs = rng.integers(0, p, size=len(basis))

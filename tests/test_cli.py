@@ -319,6 +319,20 @@ def test_poset_huge_shape_exits_2():
     assert "C(1000000, 2) = 499999500000 level pairs" in r.stderr
 
 
+def test_construct_oversized_level_system_exits_2():
+    # the (8,8,3) james system would be 26333 x 12878 int64 cells, 2.7 GB per copy
+    r = run_capped("construct", "--a", "8", "--b", "8", "--p", "3", timeout=20)
+    assert r.returncode == 2
+    assert "26333 rows x 12878 columns = 339116374 cells" in r.stderr
+
+
+def test_poset_large_prime_is_quick():
+    r = run_capped("poset", "--a", "1200", "--b", "1200", "--p", "1000000007", timeout=20)
+    assert r.returncode == 0
+    assert json.loads(r.stdout) == {"members": list(range(1200)),
+                                    "components": [list(range(1200))]}
+
+
 def test_verify_huge_ground_exits_2(tmp_path):
     doc = tmp_path / "huge.json"
     doc.write_text(json.dumps({"p": 3, "a": 100000000, "b": 100000000, "entries": []}))

@@ -10,7 +10,6 @@ from spechtdesigns.designs import (
     IntegerDesign,
     Spectrum,
     coefficient_transfer,
-    constant_level_system,
     constant_space_dim,
     constant_value,
     construct_integral_design,
@@ -26,12 +25,12 @@ from spechtdesigns.designs import (
     wilson_exists,
 )
 from spechtdesigns.linalg import MatFp, kernel_basis_fp, rank_fp
-from spechtdesigns.numtheory import p_adic_length
+from spechtdesigns.numtheory import binom_mod_p, p_adic_length
 from spechtdesigns.tabloid import (
     Element,
+    constant_level_system,
     f_lambda,
     inclusion_matrix,
-    inclusion_stack,
     psi,
     specht_membership,
 )
@@ -376,6 +375,22 @@ def test_poset_examples():
     assert poset_X(11, 10, 3).components == ((1,), (4, 7))
     with pytest.raises(ValueError):
         poset_X(2, 3, 3)
+
+
+def test_poset_components_match_lucas():
+    # comparability by Kummer carries must join what nonzero Lucas residues join
+    for p in (3, 5, 7, 1000000007):
+        for b in range(1, 40):
+            for a in (b, b + 1, 2 * b + 3, p * b - 1):
+                px = poset_X(a, b, p)
+                comp = {j: {j} for j in px.members}
+                for i, j in itertools.combinations(px.members, 2):
+                    if binom_mod_p(b - i, j - i, p) and comp[i] is not comp[j]:
+                        merged = comp[i] | comp[j]
+                        for x in merged:
+                            comp[x] = merged
+                want = sorted({tuple(sorted(c)) for c in comp.values()})
+                assert px.components == tuple(want), (a, b, p)
 
 
 def test_universal_iff_powers_of_p_levels():

@@ -21,8 +21,8 @@ from spechtdesigns.linalg import MatFp, kernel_basis_fp
 from spechtdesigns.numtheory import p_adic_length, p_adic_val
 from spechtdesigns.tabloid import (
     Element,
+    constant_level_system,
     f_lambda,
-    inclusion_stack,
     specht_membership,
 )
 
@@ -30,9 +30,9 @@ from spechtdesigns.tabloid import (
 def random_kernel_element(a: int, b: int, p: int, rng) -> Element:
     """Random element killed by every level map."""
     n = a + b
-    stack, _ = inclusion_stack(n, b, range(b))
-    basis = kernel_basis_fp(MatFp(stack, p))
-    vec = np.zeros(stack.shape[1], dtype=np.int64)
+    ncols = math.comb(n, b)
+    basis = kernel_basis_fp(MatFp(constant_level_system(n, b, range(b))[:, :ncols], p))
+    vec = np.zeros(ncols, dtype=np.int64)
     for k in basis:
         vec = (vec + int(rng.integers(0, p)) * k) % p
     return Element(n, b, p, vec)

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spechtdesigns import linalg
-from spechtdesigns.designs import constant_level_system
 from spechtdesigns.linalg import (
     MatFp,
     MatZ,
@@ -17,6 +16,7 @@ from spechtdesigns.linalg import (
     solve_affine_fp,
     solve_integer,
 )
+from spechtdesigns.tabloid import constant_level_system
 
 
 def brute_solutions(a: np.ndarray, rhs: np.ndarray, p: int) -> set[tuple[int, ...]]:
@@ -228,8 +228,6 @@ def test_kernel_basis_properties():
                   if rank_fp_prefix(m, c + 1)[1] > rank_fp_prefix(m, c)[1]]
         free = [f for f in range(cols) if f not in pivots]
         assert [v[free].tolist() for v in basis] == np.eye(len(free), dtype=int).tolist()
-        affine = solve_affine_fp(m, np.zeros(rows), want_kernel=True).kernel
-        assert [v.tolist() for v in affine] == [v.tolist() for v in basis]
 
 
 def test_affine_solution_against_enumeration():
@@ -239,18 +237,19 @@ def test_affine_solution_against_enumeration():
         rows, cols = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         a = rng.integers(0, p, size=(rows, cols))
         rhs = rng.integers(0, p, size=rows)
-        sol = solve_affine_fp(MatFp(a, p), rhs, want_kernel=True)
+        m = MatFp(a, p)
+        sol = solve_affine_fp(m, rhs)
         want = brute_solutions(a, rhs, p)
         if not want:
-            assert sol.particular is None
-            assert not sol.consistent
+            assert sol is None
             continue
-        assert tuple(sol.particular) in want
+        assert tuple(sol) in want
         # particular + kernel span reproduces the whole solution set
+        kernel = kernel_basis_fp(m)
         got = set()
-        for coeffs in itertools.product(range(p), repeat=len(sol.kernel)):
-            x = sol.particular.copy()
-            for c, v in zip(coeffs, sol.kernel):
+        for coeffs in itertools.product(range(p), repeat=len(kernel)):
+            x = sol.copy()
+            for c, v in zip(coeffs, kernel):
                 x = (x + c * v) % p
             got.add(tuple(int(t) for t in x))
         assert got == want
@@ -258,9 +257,7 @@ def test_affine_solution_against_enumeration():
 
 def test_affine_free_coordinates_are_zero():
     # one equation, three unknowns: echelon particular keeps frees at zero
-    sol = solve_affine_fp(MatFp([[1, 1, 1]], 3), [2])
-    assert sol.particular.tolist() == [2, 0, 0]
-    assert sol.kernel == ()
+    assert solve_affine_fp(MatFp([[1, 1, 1]], 3), [2]).tolist() == [2, 0, 0]
 
 
 def test_solve_integer_examples():

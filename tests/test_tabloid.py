@@ -7,18 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spechtdesigns import tabloid
 from spechtdesigns.linalg import MatFp, MatZ, rank_fp
 from spechtdesigns.tabloid import (
     Element,
     Partition2,
     _members,
     _ranks,
+    constant_level_system,
     element_from_json,
     element_to_json,
     f_lambda,
     h0_dim,
     inclusion_matrix,
-    inclusion_stack,
     james_check,
     psi,
     psi_int,
@@ -76,6 +77,13 @@ def test_subsets_colex_matches_gosper():
     for n, k in [(62, 1), (62, 2), (30, 3)]:
         assert subsets_colex(n, k).tolist() == gosper_colex(n, k), (n, k)
     assert not subsets_colex(62, 2).flags.writeable
+
+
+def test_subsets_colex_keeps_only_requested_listings():
+    subsets_colex.cache_clear()
+    subsets_colex(21, 10)
+    subsets_colex(20, 9)
+    assert subsets_colex.cache_info().currsize == 2
 
 
 def test_mask_round_trip_examples():
@@ -249,10 +257,69 @@ def test_inclusion_matrix_forms():
     assert all(sum(c) == 2 for c in cols)
 
 
-def test_inclusion_stack_offsets():
-    stack, offsets = inclusion_stack(5, 3, [0, 1, 2])
-    assert offsets == [0, 1, 6, 16]
-    assert stack.shape == (16, 10)
+def reference_inclusion(n, i, b):
+    """W_{i,b} built one row (or one column) at a time from the masks."""
+    rows = subsets_colex(n, i)
+    cols = subsets_colex(n, b)
+    a = np.zeros((len(rows), len(cols)), dtype=np.int64)
+    if len(rows) <= len(cols):
+        for r, y in enumerate(rows):
+            a[r] = (cols & int(y)) == int(y)
+    else:
+        for c, x in enumerate(cols):
+            a[:, c] = (rows & int(x)) == rows
+    return a
+
+
+def test_level_system_blocks_match_reference():
+    for n in range(11):
+        for b in range(n + 1):
+            for i in range(b + 1):
+                want = reference_inclusion(n, i, b)
+                system = constant_level_system(n, b, [i])
+                assert system.dtype == np.int64 and system.shape == (len(want), want.shape[1] + 1)
+                assert np.array_equal(system[:, :-1], want), (n, i, b)
+                assert (system[:, -1] == -1).all()
+                assert inclusion_matrix(n, i, b).rows == MatZ.from_numpy(want).rows
+
+
+def test_level_system_matches_reference_stack():
+    for n in range(14):
+        for b in range(n + 1):
+            blocks = [reference_inclusion(n, v, b) for v in range(b)]
+            scalars = [np.zeros((len(blk), b), dtype=np.int64) for blk in blocks]
+            for v, sc in enumerate(scalars):
+                sc[:, v] = -1
+            want = (np.hstack([np.vstack(blocks), np.vstack(scalars)]) if b
+                    else np.zeros((0, 1), dtype=np.int64))
+            got = constant_level_system(n, b, range(b))
+            assert got.dtype == want.dtype and got.shape == want.shape, (n, b)
+            assert got.tobytes() == want.tobytes(), (n, b)
+
+
+def test_level_system_block_rows():
+    system = constant_level_system(5, 3, [0, 1, 2])
+    assert system.shape == (16, 13)
+    # each scalar column is -1 on exactly its level's rows, in level order
+    ranges = []
+    for k in range(3):
+        rows = np.flatnonzero(system[:, 10 + k])
+        assert (system[rows, 10 + k] == -1).all()
+        assert rows.tolist() == list(range(rows[0], rows[-1] + 1))
+        ranges.append((int(rows[0]), int(rows[-1]) + 1))
+    assert ranges == [(0, 1), (1, 6), (6, 16)]
+
+
+def test_level_system_cell_guard(monkeypatch):
+    # (16, 8) at every level: 26333 rows x 12878 columns, refused before allocating
+    with pytest.raises(ValueError, match="26333 rows x 12878 columns = 339116374 cells"):
+        constant_level_system(16, 8, range(8))
+    cells = 16 * 13  # constant_level_system(5, 3, [0, 1, 2])
+    monkeypatch.setattr(tabloid, "_MAX_CELLS", cells)
+    assert constant_level_system(5, 3, [0, 1, 2]).size == cells
+    monkeypatch.setattr(tabloid, "_MAX_CELLS", cells - 1)
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        constant_level_system(5, 3, [0, 1, 2])
 
 
 def test_composition_identity_small():
