@@ -16,7 +16,14 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import MatFp, MatZ, rank_fp, solve_affine_fp, solve_integer
+from .linalg import (
+    MatFp,
+    MatZ,
+    _require_word_prime,
+    _solve_augmented,
+    rank_fp,
+    solve_integer,
+)
 from .numtheory import (
     binom_mod_p,
     binom_val_p,
@@ -207,13 +214,18 @@ def wilson_exists(g: int, b: int, t: int, p: int) -> bool:
 
 def _solve_levels_fp(g: int, b: int, p: int, targets: dict[int, int]) -> Element | None:
     """Canonical echelon element (free coordinates zero) whose level-s sums
-    are all targets[s] mod p, or None when there is none."""
+    are all targets[s] mod p, or None when there is none.
+
+    The rhs overwrites the first scalar column, and [W | rhs] is
+    eliminated in place, so the system is the only copy alive. It needs no
+    reduction: W is 0/1 and each rhs entry is a target mod p.
+    """
+    _require_word_prime(p)
     system = constant_level_system(g, b, targets)
     ncols = system.shape[1] - len(targets)
-    rhs = -(system[:, ncols:] @ np.array([mu % p for mu in targets.values()], dtype=np.int64))
-    elements = MatFp(system[:, :ncols], p)
-    del system  # the raw system is freed before the solve copies the reduced one
-    x = solve_affine_fp(elements, rhs)
+    mu = np.array([m % p for m in targets.values()], dtype=np.int64)
+    system[:, ncols] = -(system[:, ncols:] @ mu)
+    x = _solve_augmented(system[:, : ncols + 1], p)
     return None if x is None else Element(g, b, p, x)
 
 

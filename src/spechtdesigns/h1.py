@@ -4,6 +4,9 @@ classify() sorts (a, b) into three kinds by digit arithmetic alone. The
 brute-force route computes the same answer from nothing but ranks of
 inclusion matrices: the space of elements with every level constant,
 modulo the kernel of all levels and the span of the all-ones element.
+It eliminates only the levels that the composition identity
+W_{s,t} W_{t,b} = C(b-s, t-s) W_{s,b} does not imply, testing the
+binomials with exact integers and never with the digit criteria.
 check_main_theorem() sweeps a range and reports any disagreement between
 the two.
 """
@@ -23,6 +26,7 @@ from .numtheory import (
 )
 from .tabloid import (
     Partition2,
+    _kept_levels,
     _require_columns,
     constant_level_system,
     f_lambda,
@@ -132,7 +136,9 @@ def brute_force_h1(a: int, b: int, p: int, budget: int = 4000) -> H1Report:
     of all levels (dim_S) and the all-ones element f. The quotient is
     dim D - dim_S minus one more when f itself is outside the kernel.
     Both ranks come from a single elimination of the augmented system:
-    the first C(n, b) columns alone give the kernel rank.
+    the first C(n, b) columns alone give the kernel rank. The system holds
+    only the levels in _kept_levels(b, p): constancy (or vanishing) there
+    forces it at every level, so both dimensions equal the full system's.
 
     budget caps C(n, b); larger instances raise before allocating.
     """
@@ -142,14 +148,14 @@ def brute_force_h1(a: int, b: int, p: int, budget: int = 4000) -> H1Report:
     ncols = _require_columns(n, b, budget)
     # the raw system is dropped once reduced mod p: only one copy and the
     # elimination's working copy are alive while it runs
-    system = MatFp(constant_level_system(n, b, range(b)), p)
+    system = MatFp(constant_level_system(n, b, _kept_levels(b, p)), p)
     total, prefix = rank_fp_prefix(system, ncols)
     dim_D = system.shape[1] - total
     dim_S = ncols - prefix
     f_in_S = specht_membership(f_lambda(a, b, p))
     if f_in_S != james_check((a, b), p):
-        raise AssertionError("membership of the all-ones element disagrees "
-                             "with the digit criterion")
+        raise AssertionError(f"membership of the all-ones element disagrees with "
+                             f"the digit criterion on (a={a}, b={b}, p={p})")
     quotient = dim_D - dim_S - (0 if f_in_S else 1)
     cls = classify(a, b, p)
     return H1Report(

@@ -29,6 +29,7 @@ from .numtheory import binom_mod_p, p_adic_length, p_adic_val, require_odd_prime
 from .tabloid import (
     Element,
     Partition2,
+    _kept_levels,
     _require_columns,
     _require_listable,
     constant_level_system,
@@ -210,7 +211,10 @@ def construct_james(a: int, b: int, p: int) -> Element:
     the all-ones element are C(n-s, b-s); dividing by p^d with d their
     minimum valuation gives targets, not all divisible by p, that an
     integral design realizes; so the GF(p) level system with those targets
-    is consistent, and its canonical echelon solution is returned.
+    is consistent, and its canonical echelon solution is returned. The
+    targets obey the composition identity mod p, so the system on the
+    levels of _kept_levels(b, p) has the same augmented row space, hence
+    the same echelon solution, as the one on all levels.
     """
     n = a + b
     _require_listable(n, b)
@@ -220,7 +224,7 @@ def construct_james(a: int, b: int, p: int) -> Element:
     exact = [math.comb(n - s, b - s) for s in range(b)]
     d = min(p_adic_val(x, p) for x in exact)
     mus = [x // p**d % p for x in exact]
-    u = _solve_levels_fp(n, b, p, dict(enumerate(mus)))
+    u = _solve_levels_fp(n, b, p, {s: mus[s] for s in _kept_levels(b, p)})
     if u is None:
         raise SelfCheckError(
             f"no element with level constants {mus} mod {p} on (n={n}, b={b})"

@@ -305,9 +305,14 @@ def solve_affine_fp(a: MatFp, rhs) -> np.ndarray | None:
     b = np.asarray(rhs, dtype=np.int64).ravel() % p
     if b.shape[0] != a.shape[0]:
         raise ValueError(f"rhs length {b.shape[0]} != row count {a.shape[0]}")
-    aug = np.hstack([a.entries, b.reshape(-1, 1)])
+    return _solve_augmented(np.hstack([a.entries, b.reshape(-1, 1)]), p)
+
+
+def _solve_augmented(aug: np.ndarray, p: int) -> np.ndarray | None:
+    """solve_affine_fp on [A | b] given as one residue array, which is
+    eliminated in place."""
     m, pivots = _eliminate(aug, p, full=True)
-    cols = a.shape[1]
+    cols = aug.shape[1] - 1
     # a pivot in the rhs column certifies inconsistency
     if pivots and pivots[-1] == cols:
         return None

@@ -24,7 +24,9 @@ Every linear question about the level maps is asked of one matrix, the
 stacked system [W_{v,b} | -E] over the requested levels v, with one
 scalar column per level (R. M. Wilson, Europ. J. Combin. 11, 1990). This
 module owns its layout, and constant_level_system is its one builder;
-inclusion_matrix and the solvers take views of its columns.
+inclusion_matrix and the solvers take views of its columns. Over GF(p)
+most levels of that system are implied by the others through the
+composition identity; _kept_levels names the ones that are not.
 """
 
 from __future__ import annotations
@@ -62,8 +64,9 @@ _MAX_GROUND = 62  # masks live in int64
 # Longest subset listing or element vector accepted: about 12 times the
 # largest shape in the tests and the benchmark, C(21, 10) = 352716.
 _MAX_SUBSETS = 1 << 22
-# Most cells in one level system, 1 GiB of int64. The largest in the tests
-# and the benchmark, construct_james(8, 7, 3), has 9949 x 6442, about 2^26.
+# Most cells in one level system, 1 GiB of int64. construct_james(8, 7, 3)
+# solves 6370 x 6437 cells on its kept levels, about 2^25.3; the 15808 x
+# 12872 system of (8, 8, 3) is refused.
 _MAX_CELLS = 1 << 27
 
 
@@ -290,7 +293,8 @@ def psi_levels(n: int, b: int, vec, v: int = 0) -> list[np.ndarray]:
         d = _drop_once(n, k, w)
         c = b - k + 1
         if np.count_nonzero(d % c):
-            raise AssertionError("inexact division in psi cascade")
+            raise AssertionError(f"inexact division by {c} in psi cascade from level {k} "
+                                 f"to {k - 1} (n={n}, b={b})")
         w = d // c
         out.append(w)
     out.reverse()
@@ -346,6 +350,23 @@ def constant_level_system(n: int, b: int, levels) -> np.ndarray:
     return out
 
 
+def _kept_levels(b: int, p: int) -> list[int]:
+    """The levels below b that no other level implies mod p, ascending.
+
+    W_{s,t} W_{t,b} = C(b-s, t-s) W_{s,b}, so for u with psi_t(u) constant
+    (or zero), psi_s(u) is too whenever C(b-s, t-s) is a unit mod p. From
+    b-1 down, level s is kept only when every kept t > s has C(b-s, t-s)
+    = 0 mod p; the system on the kept levels then admits the same elements
+    u as the one on all levels. The binomials are exact Python ints: the
+    brute-force route must not rest on the digit criteria.
+    """
+    kept: list[int] = []
+    for s in range(b - 1, -1, -1):
+        if all(math.comb(b - s, t - s) % p == 0 for t in kept):
+            kept.append(s)
+    return kept[::-1]
+
+
 def inclusion_matrix(n: int, i: int, b: int, p: int | None = None) -> MatFp | MatZ:
     """Inclusion matrix W_{i,b} of i-subsets into b-subsets of [n]; mod p when given.
 
@@ -365,11 +386,15 @@ def specht_membership(u: Element) -> bool:
 
 
 def specht_dim(a: int, b: int, p: int) -> int:
-    """Dimension over GF(p) of the joint kernel of psi_0..psi_(b-1)."""
+    """Dimension over GF(p) of the joint kernel of psi_0..psi_(b-1).
+
+    Only the levels in _kept_levels(b, p) are eliminated; they imply the rest.
+    """
     lam = Partition2(a, b)
     require_odd_prime(p)
     ncols = math.comb(lam.n, b)
-    return ncols - rank_fp(MatFp(constant_level_system(lam.n, b, range(b))[:, :ncols], p))
+    system = constant_level_system(lam.n, b, _kept_levels(b, p))
+    return ncols - rank_fp(MatFp(system[:, :ncols], p))
 
 
 def _check_partition(parts) -> tuple[int, ...]:

@@ -320,10 +320,11 @@ def test_poset_huge_shape_exits_2():
 
 
 def test_construct_oversized_level_system_exits_2():
-    # the (8,8,3) james system would be 26333 x 12878 int64 cells, 2.7 GB per copy
+    # the (8,8,3) james system on its kept levels would be 15808 x 12872
+    # int64 cells, 1.6 GB per copy
     r = run_capped("construct", "--a", "8", "--b", "8", "--p", "3", timeout=20)
     assert r.returncode == 2
-    assert "26333 rows x 12878 columns = 339116374 cells" in r.stderr
+    assert "15808 rows x 12872 columns = 203480576 cells" in r.stderr
 
 
 def test_poset_large_prime_is_quick():

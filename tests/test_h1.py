@@ -2,8 +2,11 @@ import csv
 import io
 import math
 
+import numpy as np
 import pytest
 
+from spechtdesigns import h1, tabloid
+from spechtdesigns.designs import constant_space_dim
 from spechtdesigns.h1 import (
     H1Report,
     brute_force_h1,
@@ -13,6 +16,8 @@ from spechtdesigns.h1 import (
     survey,
     survey_csv,
 )
+from spechtdesigns.linalg import MatFp, rank_fp
+from spechtdesigns.tabloid import constant_level_system, psi_levels, specht_dim
 
 
 def test_classify_frozen_examples():
@@ -135,3 +140,41 @@ def test_survey_csv_format():
     assert pointed_rows and all(row[4] != "" for row in pointed_rows)
     neither_rows = [row for row in rows[1:] if row[3] == "neither"]
     assert all(row[4] == "" and row[5] == "" for row in neither_rows)
+
+
+def test_pruned_dims_match_full_system():
+    # brute_force_h1 and specht_dim eliminate only the kept levels; the
+    # system on every level is the reference
+    for p in (3, 5, 7):
+        for n in range(2, 14):
+            for b in range(1, n // 2 + 1):
+                ncols = math.comb(n, b)
+                full_S = ncols - rank_fp(MatFp(constant_level_system(n, b, range(b))[:, :ncols], p))
+                r = brute_force_h1(n - b, b, p)
+                assert (r.dim_D, r.dim_S) == (constant_space_dim(n, b, p, range(b)), full_S), (n, b, p)
+                assert specht_dim(n - b, b, p) == full_S, (n, b, p)
+
+
+def test_brute_force_requests_kept_levels(monkeypatch):
+    requested = []
+
+    def record(n, b, levels):
+        requested.append(list(levels))
+        return constant_level_system(n, b, levels)
+
+    monkeypatch.setattr(h1, "constant_level_system", record)
+    monkeypatch.setattr(tabloid, "constant_level_system", record)
+    brute_force_h1(7, 6, 3)
+    specht_dim(7, 6, 3)
+    assert requested == [[3, 5], [3, 5]]
+
+
+def test_self_check_errors_name_the_shape(monkeypatch):
+    monkeypatch.setattr(h1, "james_check", lambda parts, p: True)
+    with pytest.raises(AssertionError, match=r"\(a=5, b=3, p=3\)"):
+        brute_force_h1(5, 3, 3)
+    # an odd level at every step makes the first division by 2 inexact
+    monkeypatch.setattr(tabloid, "_drop_once",
+                        lambda n, k, w: np.ones(math.comb(n, k - 1), dtype=w.dtype))
+    with pytest.raises(AssertionError, match=r"from level 3 to 2 \(n=6, b=4\)"):
+        psi_levels(6, 4, np.ones(math.comb(6, 4), dtype=np.int64))

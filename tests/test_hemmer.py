@@ -4,7 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from spechtdesigns.designs import DesignParams, find_t_design_fp, spectrum
+from spechtdesigns.designs import DesignParams, _solve_levels_fp, find_t_design_fp, spectrum
 from spechtdesigns.h1 import classify
 from spechtdesigns.hemmer import (
     SelfCheckError,
@@ -152,6 +152,20 @@ def test_construct_james_needs_no_integer_solver(monkeypatch):
     u = construct_james(8, 3, 3)
     assert spectrum(u).levels == (1, 0, 0)
     assert verify_hemmer(u).is_hemmer
+
+
+@pytest.mark.parametrize("a,b,p", [
+    (8, 3, 3), (8, 4, 3), (9, 3, 5), (9, 4, 5), (14, 3, 5), (4, 4, 5),
+    (11, 2, 3), (14, 2, 5), (17, 2, 3), (8, 5, 3),
+])
+def test_james_witness_matches_full_level_solve(a, b, p):
+    # construct_james solves on the kept levels only; the solve on every
+    # level has the same echelon form, so the same witness
+    n = a + b
+    exact = [math.comb(n - s, b - s) for s in range(b)]
+    d = min(p_adic_val(x, p) for x in exact)
+    full = _solve_levels_fp(n, b, p, {s: x // p**d % p for s, x in enumerate(exact)})
+    assert construct_james(a, b, p).vec.tobytes() == full.vec.tobytes()
 
 
 def test_construct_pointed_dispatches_to_base():

@@ -12,6 +12,7 @@ from spechtdesigns.linalg import MatFp, MatZ, rank_fp
 from spechtdesigns.tabloid import (
     Element,
     Partition2,
+    _kept_levels,
     _members,
     _ranks,
     constant_level_system,
@@ -308,6 +309,13 @@ def test_level_system_block_rows():
         assert rows.tolist() == list(range(rows[0], rows[-1] + 1))
         ranges.append((int(rows[0]), int(rows[-1]) + 1))
     assert ranges == [(0, 1), (1, 6), (6, 16)]
+
+
+def test_kept_levels_are_b_minus_powers_of_p():
+    for p in (3, 5, 7, 11, 10**9 + 7):
+        for b in range(63):
+            powers = [p**l for l in range(b.bit_length()) if p**l <= b]
+            assert _kept_levels(b, p) == sorted({b - q for q in powers}), (b, p)
 
 
 def test_level_system_cell_guard(monkeypatch):
