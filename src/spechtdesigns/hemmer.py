@@ -107,8 +107,8 @@ def adjoin(u: Element, new_points) -> Element:
     """Extend u's ground set by new_points, given in the enlarged numbering.
 
     The old ground maps order-preservingly onto the complement of
-    new_points, and every block absorbs the new points, so the block size
-    grows by their number.
+    new_points and every block absorbs them: a bijection, in colex order,
+    onto the blocks that contain new_points, whose slots u's entries fill.
     """
     pts = sorted(int(q) for q in new_points)
     k = len(pts)
@@ -118,15 +118,9 @@ def adjoin(u: Element, new_points) -> Element:
     if pts and not (1 <= pts[0] and pts[-1] <= n2):
         raise ValueError(f"new points must lie in [1, {n2}]")
     ymask = sum(1 << (q - 1) for q in pts)
-    keep = [i for i in range(n2) if not ymask >> i & 1]
-    old = subsets_colex(u.n, u.b)
-    out = np.zeros(len(old), dtype=np.int64)
-    for i, pos in enumerate(keep):
-        out |= (old >> i & 1) << pos
-    out |= ymask
     new_masks = subsets_colex(n2, u.b + k)
     vec = np.zeros(len(new_masks), dtype=np.int64)
-    vec[np.searchsorted(new_masks, out)] = u.vec
+    vec[(new_masks & ymask) == ymask] = u.vec
     return Element(n2, u.b + k, u.p, vec)
 
 

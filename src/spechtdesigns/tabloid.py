@@ -17,8 +17,10 @@ psi_v sends a b-subset to the formal sum of its v-subsets. Its matrix is
 the 0/1 inclusion matrix W_{v,b} of v-subsets into b-subsets. One walk
 from level b down computes every level: a step deletes a single element
 from each k-subset, and since W_{k-1,k} W_{k,b} = (b-k+1) W_{k-1,b}, an
-exact division by b-k+1 turns psi_k into psi_(k-1). The inner loop stays
-vectorised and works on int64 and Python-int entries alike.
+exact division by b-k+1 turns psi_k into psi_(k-1). Deleting a point x
+maps the k-subsets with x one-to-one and in colex order onto the
+(k-1)-subsets without x, so a step is one masked add per point, on int64
+and Python-int entries alike.
 
 Every linear question about the level maps is asked of one matrix, the
 stacked system [W_{v,b} | -E] over the requested levels v, with one
@@ -34,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -255,18 +257,17 @@ def f_lambda(a: int, b: int, p: int) -> Element:
 
 
 def _drop_once(n: int, k: int, w: np.ndarray) -> np.ndarray:
-    """Apply the delete-one-element matrix: (k-subsets) -> (k-1)-subsets."""
+    """Apply the delete-one-element matrix: (k-subsets) -> (k-1)-subsets.
+
+    Deleting x maps the k-subsets with x one-to-one and in colex order onto
+    the (k-1)-subsets without x, so the step is one masked add per point.
+    """
     mk = subsets_colex(n, k)
     mk1 = subsets_colex(n, k - 1)
     out = np.zeros(len(mk1), dtype=w.dtype)
     for pos in range(n):
         bit = 1 << pos
-        sel = (mk & bit) != 0
-        if not sel.any():
-            continue
-        sub = mk[sel] ^ bit
-        idx = np.searchsorted(mk1, sub)
-        np.add.at(out, idx, w[sel])
+        out[(mk1 & bit) == 0] += w[(mk & bit) != 0]
     return out
 
 
@@ -451,16 +452,20 @@ def element_from_json(obj) -> Element:
     if not isinstance(entries, list):
         raise ValueError("entries must be a list")
     vec = np.zeros(_require_listable(n, b), dtype=np.int64)
-    sets, coeffs = [], []
-    for e in entries:  # structure only; _ranks checks range, order and repeats
-        if not isinstance(e, dict) or e.keys() != {"set", "coeff"}:
-            raise ValueError(f"bad entry {e!r}: need exactly 'set' and 'coeff'")
-        s, c = e["set"], e["coeff"]
-        if not isinstance(s, list) or len(s) != b or set(map(type, s)) != {int}:
-            raise ValueError(f"entry set {s!r} must list {b} ints")
-        if type(c) is not int or not 0 <= c < p:
-            raise ValueError(f"coeff {c!r} must be an int in [0, {p})")
-        sets.append(s)
-        coeffs.append(c)
+    keys = {"set", "coeff"}  # structure only; _ranks checks range, order and repeats
+    ok = all(isinstance(e, dict) and e.keys() == keys for e in entries)
+    sets = [e["set"] for e in entries] if ok else []
+    coeffs = [e["coeff"] for e in entries] if ok else []
+    if not (ok and all(isinstance(s, list) and len(s) == b for s in sets)
+            and set(map(type, chain(chain.from_iterable(sets), coeffs))) <= {int}
+            and 0 <= min(coeffs, default=0) and max(coeffs, default=0) < p):
+        for e in entries:  # the same tests one entry at a time name the first fault
+            if not isinstance(e, dict) or e.keys() != keys:
+                raise ValueError(f"bad entry {e!r}: need exactly 'set' and 'coeff'")
+            s, c = e["set"], e["coeff"]
+            if not isinstance(s, list) or len(s) != b or set(map(type, s)) != {int}:
+                raise ValueError(f"entry set {s!r} must list {b} ints")
+            if type(c) is not int or not 0 <= c < p:
+                raise ValueError(f"coeff {c!r} must be an int in [0, {p})")
     vec[_ranks(n, b, sets)] = coeffs
     return Element(n, b, p, vec)

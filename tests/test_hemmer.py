@@ -24,6 +24,7 @@ from spechtdesigns.tabloid import (
     constant_level_system,
     f_lambda,
     specht_membership,
+    subsets_colex,
 )
 
 
@@ -120,6 +121,35 @@ def test_adjoin_empty_is_identity():
     assert adjoin(u, []) == u
 
 
+def reference_adjoin(u: Element, new_points) -> Element:
+    """adjoin by spreading each block's bits over the kept positions and
+    finding the enlarged block by binary search."""
+    pts = sorted(new_points)
+    n2 = u.n + len(pts)
+    ymask = sum(1 << (q - 1) for q in pts)
+    keep = [i for i in range(n2) if not ymask >> i & 1]
+    old = subsets_colex(u.n, u.b)
+    out = np.zeros(len(old), dtype=np.int64)
+    for i, pos in enumerate(keep):
+        out |= (old >> i & 1) << pos
+    out |= ymask
+    new_masks = subsets_colex(n2, u.b + len(pts))
+    vec = np.zeros(len(new_masks), dtype=np.int64)
+    vec[np.searchsorted(new_masks, out)] = u.vec
+    return Element(n2, u.b + len(pts), u.p, vec)
+
+
+def test_adjoin_matches_reference():
+    rng = np.random.default_rng(59)
+    for n in range(1, 10):
+        for b in range(1, n + 1):
+            u = Element(n, b, 5, rng.integers(0, 5, math.comb(n, b)))
+            for k in range(4):
+                for _ in range(3):
+                    pts = rng.choice(np.arange(1, n + k + 1), size=k, replace=False).tolist()
+                    assert adjoin(u, pts) == reference_adjoin(u, pts)
+
+
 def test_construct_james_examples():
     u = construct_james(8, 3, 3)
     assert spectrum(u).levels == (1, 0, 0)
@@ -152,6 +182,17 @@ def test_construct_james_needs_no_integer_solver(monkeypatch):
     u = construct_james(8, 3, 3)
     assert spectrum(u).levels == (1, 0, 0)
     assert verify_hemmer(u).is_hemmer
+
+
+def test_level_walk_and_adjoin_need_no_binary_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("binary search reached")
+    monkeypatch.setattr(np, "searchsorted", refuse)
+    rng = np.random.default_rng(61)
+    u = Element(10, 5, 3, rng.integers(0, 3, math.comb(10, 5)))
+    assert len(spectrum(u).levels) == 5
+    assert adjoin(u, [2, 7]).b == 7
+    assert verify_hemmer(construct_pointed(9, 9, 3)).is_hemmer
 
 
 @pytest.mark.parametrize("a,b,p", [

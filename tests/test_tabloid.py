@@ -238,6 +238,37 @@ def test_psi_int_object_dtype_path():
     assert psi_int(6, 3, [2 * 10**17] * 20, 0).tolist() == [4 * 10**18]
 
 
+def reference_drop(n: int, k: int, w: np.ndarray) -> np.ndarray:
+    """The delete-one-element step by binary search: each k-subset minus one
+    point is looked up in the (k-1)-listing and scattered there."""
+    mk = subsets_colex(n, k)
+    mk1 = subsets_colex(n, k - 1)
+    out = np.zeros(len(mk1), dtype=w.dtype)
+    for pos in range(n):
+        bit = 1 << pos
+        sel = (mk & bit) != 0
+        if not sel.any():
+            continue
+        idx = np.searchsorted(mk1, mk[sel] ^ bit)
+        np.add.at(out, idx, w[sel])
+    return out
+
+
+def test_drop_once_matches_reference():
+    rng = np.random.default_rng(53)
+    for n in range(1, 11):
+        for k in range(1, n + 1):
+            size = math.comb(n, k)
+            small = rng.integers(-10**6, 10**6, size=size)
+            big = np.array([(-1) ** i * (2**64 + int(x)) for i, x in enumerate(small)],
+                           dtype=object)
+            for w in (small, big):
+                got = tabloid._drop_once(n, k, w)
+                want = reference_drop(n, k, w)
+                assert got.dtype == w.dtype
+                assert got.tolist() == want.tolist()
+
+
 def test_psi_reduces_mod_p():
     u = Element.ones(5, 2, 3)
     # each singleton lies in 4 pairs
@@ -444,6 +475,26 @@ def test_element_json_rejects_bad_schema():
     for bad in bads:
         with pytest.raises(ValueError):
             element_from_json(bad)
+
+
+def test_element_json_names_first_bad_entry():
+    good = element_to_json(Element.from_subsets(4, 2, 3, {(1, 2): 1, (1, 3): 2, (2, 4): 1}))
+    cases = [
+        ({0: ("set", [1])}, {2: 7}, r"entry set \[1\] must list 2 ints"),
+        ({0: ("coeff", 5), 1: ("set", ["x", 2])}, {}, r"coeff 5 must be an int in \[0, 3\)"),
+        ({1: ("set", [1.0, 3])}, {2: None}, r"entry set \[1.0, 3\] must list 2 ints"),
+        ({2: ("coeff", True)}, {}, r"coeff True must be an int in \[0, 3\)"),
+        ({1: ("set", [1, 2, 3])}, {}, r"entry set \[1, 2, 3\] must list 2 ints"),
+        ({}, {1: [[1, 3], 2]}, r"bad entry \[\[1, 3\], 2\]: need exactly"),
+    ]
+    for edits, replaced, msg in cases:
+        d = json.loads(json.dumps(good))
+        for i, (key, val) in edits.items():
+            d["entries"][i][key] = val
+        for i, val in replaced.items():
+            d["entries"][i] = val
+        with pytest.raises(ValueError, match=msg):
+            element_from_json(d)
 
 
 @settings(max_examples=40)
