@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Subcommands map one-to-one onto library entry points and print JSON
-(CSV for survey). Exit codes: 0 success, 2 invalid input or an input
-too large to hold in memory, 1 a constructed object failed its own
-verification.
+(CSV for survey). construct writes its element through
+tabloid.element_to_text, which gives exactly the bytes of
+json.dumps(element_to_json(u), indent=...) without building the dict.
+Exit codes: 0 success, 2 invalid input or an input too large to hold in
+memory, 1 a constructed object failed its own verification.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .hemmer import (
     find_hemmer_by_solver,
     verify_hemmer,
 )
-from .tabloid import element_from_json, element_to_json
+from .tabloid import element_from_json, element_to_json, element_to_text
 
 __all__ = ["main", "build_parser"]
 
@@ -120,12 +122,12 @@ def _cmd_construct(args) -> None:
             )
     else:
         u = builders[args.method](args.a, args.b, args.p)
-    doc = element_to_json(u)
+    text = element_to_text(u, 2 if args.pretty else None)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(doc, indent=2 if args.pretty else None) + "\n")
+            print(text, file=fh)
     else:
-        _emit(args, doc)
+        print(text)
 
 
 def _cmd_verify(args) -> None:

@@ -109,8 +109,12 @@ def adjoin(u: Element, new_points) -> Element:
     The old ground maps order-preservingly onto the complement of
     new_points and every block absorbs them: a bijection, in colex order,
     onto the blocks that contain new_points, whose slots u's entries fill.
+    Points must be ints or numpy integers; floats and bools are refused.
     """
-    pts = sorted(int(q) for q in new_points)
+    pts = list(new_points)
+    if not all(isinstance(q, (int, np.integer)) and not isinstance(q, bool) for q in pts):
+        raise ValueError(f"new points must be ints, got {pts!r}")
+    pts = sorted(int(q) for q in pts)
     k = len(pts)
     if len(set(pts)) != k:
         raise ValueError("new points must be distinct")

@@ -11,7 +11,10 @@ n, listing(n, k) = listing(n-1, k) ++ (listing(n-1, k-1) | 2^(n-1))
 (Knuth, TAOCP 4A, 7.2.1.3), one row of the triangle at a time; only the
 listings asked for are kept. _ranks maps an (m, k) array of member rows
 to colex indices and is the one place that validates members; _members
-maps indices back to member rows.
+maps indices back to member rows. element_to_json is the element's JSON
+form as a dict; element_to_text writes the same document as text, equal
+byte for byte to json.dumps of the dict, from one (m, b+1) array of
+members and coefficients filled into one template.
 
 psi_v sends a b-subset to the formal sum of its v-subsets. Its matrix is
 the 0/1 inclusion matrix W_{v,b} of v-subsets into b-subsets. One walk
@@ -59,6 +62,7 @@ __all__ = [
     "james_check",
     "h0_dim",
     "element_to_json",
+    "element_to_text",
     "element_from_json",
 ]
 
@@ -172,7 +176,8 @@ class Element:
     The ground shape is the composition (n-b, b); a >= b is not required
     here so that design solvers may return blocks covering more than half
     the ground set. Partition-specific entry points validate Partition2
-    themselves.
+    themselves. The coefficient vector must have an integer dtype that fits
+    int64; floats, bools, uint64 and object arrays are refused.
     """
 
     __slots__ = ("n", "b", "p", "vec")
@@ -182,9 +187,13 @@ class Element:
         if b < 1:
             raise ValueError(f"need b >= 1, got b={b}")
         want = _require_listable(n, b)
-        arr = np.asarray(vec, dtype=np.int64) % p
+        arr = np.asarray(vec)
         if arr.shape != (want,):
             raise ValueError(f"coefficient vector must have length C({n},{b}) = {want}")
+        # on the dtype alone, O(1): floats, bools, uint64 and ints past int64 (object) refuse
+        if arr.dtype.kind not in "iu" or not np.can_cast(arr.dtype, np.int64):
+            raise ValueError(f"coefficients must be int64 integers, got dtype {arr.dtype}")
+        arr = arr.astype(np.int64, copy=False) % p
         self.n = n
         self.b = b
         self.p = p
@@ -431,6 +440,35 @@ def element_to_json(u: Element) -> dict:
         "b": u.b,
         "entries": [{"set": s, "coeff": c} for s, c in zip(sets, u.vec[idx].tolist())],
     }
+
+
+def element_to_text(u: Element, indent: int | None = None) -> str:
+    """element_to_json(u) as text: exactly json.dumps(element_to_json(u), indent=indent).
+
+    No per-entry Python work: the members and coefficient of each support
+    block form one (m, b+1) int64 array, and one per-entry template,
+    repeated m times and joined, is filled from it by a single %.
+    """
+    idx = np.flatnonzero(u.vec)
+    rows = np.empty((len(idx), u.b + 1), dtype=np.int64)
+    rows[:, :-1] = _members(u.n, u.b, idx)
+    rows[:, -1] = u.vec[idx]
+    pad = None if indent is None else " " * indent
+    comma = ", " if pad is None else ","  # json.dumps drops the space once it indents
+
+    def brk(depth: int) -> str:  # the break json.dumps puts before an item at this depth
+        return "" if pad is None else "\n" + pad * depth
+
+    def items(parts: list[str], depth: int) -> str:
+        return brk(depth) + (comma + brk(depth)).join(parts) + brk(depth - 1)
+
+    entries = "[]"
+    if len(rows):
+        entry = "{" + items(['"set": [' + items(["%d"] * u.b, 4) + "]", '"coeff": %d'], 3) + "}"
+        template = "[" + items([entry] * len(rows), 2) + "]"
+        entries = template % tuple(rows.ravel().tolist())
+    head = [f'"p": {u.p}', f'"a": {u.a}', f'"b": {u.b}', '"entries": ' + entries]
+    return "{" + items(head, 1) + "}"
 
 
 def element_from_json(obj) -> Element:

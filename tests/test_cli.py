@@ -9,7 +9,8 @@ import pytest
 
 import spechtdesigns
 from spechtdesigns.cli import main
-from spechtdesigns.hemmer import SelfCheckError
+from spechtdesigns.hemmer import SelfCheckError, construct_auto
+from spechtdesigns.tabloid import element_to_json
 
 
 def run_cli(capsys, *args):
@@ -75,6 +76,18 @@ def test_construct_out_bytes(tmp_path, capsys):
     assert rc == 0 and len(pretty) == 912 and pretty.endswith(b"\n  ]\n}\n")
     assert hashlib.sha256(pretty).hexdigest() == (
         "aa05643e8b7c9681dd376a259697bfd056b667ae6b8ca3516eef97f2d20c6f0f")
+
+
+def test_construct_bytes_match_json_dumps(tmp_path, capsys):
+    doc = element_to_json(construct_auto(9, 9, 3))
+    for flags, indent in (((), None), (("--pretty",), 2)):
+        want = json.dumps(doc, indent=indent) + "\n"
+        out_file = tmp_path / "witness.json"
+        argv = [*flags, "construct", "--a", "9", "--b", "9", "--p", "3"]
+        rc, _, _ = run_cli(capsys, *argv, "--out", str(out_file))
+        assert rc == 0 and out_file.read_text(encoding="utf-8") == want
+        rc, out, _ = run_cli(capsys, *argv)
+        assert rc == 0 and out == want
 
 
 def test_construct_methods_agree_on_spectrum(capsys):

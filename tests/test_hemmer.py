@@ -114,6 +114,10 @@ def test_adjoin_validation():
         adjoin(u, [1, 1])
     with pytest.raises(ValueError):
         adjoin(u, [9])
+    for pts in ([2.7], [True], [np.bool_(True)], [1, 2.0]):  # were read as 2, 1, 1 and 1, 2
+        with pytest.raises(ValueError, match="must be ints"):
+            adjoin(u, pts)
+    assert adjoin(u, [np.int64(2)]) == adjoin(u, [2])
 
 
 def test_adjoin_empty_is_identity():

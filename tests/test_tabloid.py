@@ -18,6 +18,7 @@ from spechtdesigns.tabloid import (
     constant_level_system,
     element_from_json,
     element_to_json,
+    element_to_text,
     f_lambda,
     h0_dim,
     inclusion_matrix,
@@ -160,6 +161,16 @@ def test_element_validation():
     w = Element.from_subsets(4, 2, 5, {(1, 2): 1})
     with pytest.raises(ValueError):
         u + w
+
+
+def test_element_refuses_non_int64_vectors():
+    # each was coerced or overflowed before: floats truncated, 2**64 raised OverflowError
+    too_big = np.array([2**63, 1, 0], dtype=np.uint64)  # wrapped negative if cast
+    for vec in ([1.5, 2.9, 0], [2**64, 0, 0], too_big, [True, False, True]):
+        with pytest.raises(ValueError, match="int64 integers"):
+            Element(3, 2, 3, vec)
+    assert Element(3, 2, 3, np.array([4, -1, 2], dtype=np.int8)).vec.tolist() == [1, 2, 2]
+    assert Element(3, 2, 3, [-(2**63), 2**63 - 1, 0]).vec.tolist() == [1, 1, 0]
 
 
 def test_element_size_guard():
@@ -495,6 +506,22 @@ def test_element_json_names_first_bad_entry():
             d["entries"][i] = val
         with pytest.raises(ValueError, match=msg):
             element_from_json(d)
+
+
+def test_element_to_text_matches_json_dumps():
+    rng = np.random.default_rng(71)
+    cases = [Element.zero(6, 3, 3), Element.ones(1, 1, 5), Element.ones(5, 5, 7)]
+    for _ in range(150):
+        n = int(rng.integers(1, 12))
+        b = int(rng.integers(1, n + 1))
+        p = int(rng.choice([3, 5, 7, 2147483629]))
+        size = math.comb(n, b)
+        keep = rng.random(size) < rng.random()  # sparse to full support
+        cases.append(Element(n, b, p, rng.integers(0, p, size) * keep))
+    for u in cases:
+        for indent in (None, 2):
+            assert element_to_text(u, indent) == json.dumps(element_to_json(u), indent=indent)
+    assert '"entries": []' in element_to_text(cases[0], 2)
 
 
 @settings(max_examples=40)
