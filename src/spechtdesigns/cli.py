@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .designs import (
     DesignParams,
@@ -96,6 +97,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", help="write CSV to this file")
 
     return ap
+
+
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """build_parser() once per process; parsing leaves a parser unchanged."""
+    return build_parser()
 
 
 def _emit(args, payload: dict) -> None:
@@ -186,7 +193,7 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _HANDLERS[args.command](args)
     except (SelfCheckError, AssertionError) as exc:

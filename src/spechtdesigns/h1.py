@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import csv
 import io
+from bisect import bisect_left
 from dataclasses import dataclass
 
-from .linalg import MatFp, rank_fp_prefix
+from .linalg import _eliminate, _require_word_prime
 from .numtheory import (
     all_binoms_divisible_by_digits,
     p_adic_length,
@@ -135,23 +136,25 @@ def brute_force_h1(a: int, b: int, p: int, budget: int = 4000) -> H1Report:
     D = {u : psi_v(u) constant for v = 0..b-1} contains both the kernel
     of all levels (dim_S) and the all-ones element f. The quotient is
     dim D - dim_S minus one more when f itself is outside the kernel.
-    Both ranks come from a single elimination of the augmented system:
-    the first C(n, b) columns alone give the kernel rank. The system holds
-    only the levels in _kept_levels(b, p): constancy (or vanishing) there
-    forces it at every level, so both dimensions equal the full system's.
+    Both ranks come from a single in-place elimination of the augmented
+    system: its pivots among the first C(n, b) columns give the kernel
+    rank. The system holds only the levels in _kept_levels(b, p):
+    constancy (or vanishing) there forces it at every level, so both
+    dimensions equal the full system's.
 
     budget caps C(n, b); larger instances raise before allocating.
     """
     Partition2(a, b)
-    require_odd_prime(p)
+    _require_word_prime(p)
     n = a + b
     ncols = _require_columns(n, b, budget)
-    # the raw system is dropped once reduced mod p: only one copy and the
-    # elimination's working copy are alive while it runs
-    system = MatFp(constant_level_system(n, b, _kept_levels(b, p)), p)
-    total, prefix = rank_fp_prefix(system, ncols)
-    dim_D = system.shape[1] - total
-    dim_S = ncols - prefix
+    system = constant_level_system(n, b, _kept_levels(b, p))
+    # the one copy: its -1 scalar entries are reduced and it is
+    # eliminated in place
+    system[:, ncols:] %= p
+    _, pivots = _eliminate(system, p, full=False)
+    dim_D = system.shape[1] - len(pivots)
+    dim_S = ncols - bisect_left(pivots, ncols)
     f_in_S = specht_membership(f_lambda(a, b, p))
     if f_in_S != james_check((a, b), p):
         raise AssertionError(f"membership of the all-ones element disagrees with "

@@ -12,6 +12,7 @@ any miss, so a returned element is always certified.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -24,13 +25,14 @@ from .designs import (
     spectrum,
 )
 from .h1 import classify
-from .linalg import MatFp, kernel_basis_fp
+from .linalg import _eliminate, _kernel_vector, _require_word_prime
 from .numtheory import binom_mod_p, p_adic_length, p_adic_val, require_odd_prime
 from .tabloid import (
     Element,
     Partition2,
     _kept_levels,
     _require_columns,
+    _require_ints,
     _require_listable,
     constant_level_system,
     f_lambda,
@@ -112,8 +114,7 @@ def adjoin(u: Element, new_points) -> Element:
     Points must be ints or numpy integers; floats and bools are refused.
     """
     pts = list(new_points)
-    if not all(isinstance(q, (int, np.integer)) and not isinstance(q, bool) for q in pts):
-        raise ValueError(f"new points must be ints, got {pts!r}")
+    _require_ints(pts, "new points")
     pts = sorted(int(q) for q in pts)
     k = len(pts)
     if len(set(pts)) != k:
@@ -282,22 +283,36 @@ def decompose_pointed(w: Element) -> tuple[Element, int]:
 def find_hemmer_by_solver(a: int, b: int, p: int, budget: int = 4000) -> Element | None:
     """Search for a qualifying element by pure linear algebra.
 
-    Solves for all elements with every level constant, then scans a basis
-    for one whose spectrum escapes the line spanned by the all-ones
-    spectrum. Independent of the classification and of the constructors;
-    returns None when no qualifying element exists.
+    One forward elimination, in place, of the level system on the kept
+    levels. Its kernel vectors pair the elements with every level constant
+    with their kept-level constants. The canonical vector of a free element
+    column has spectrum 0, so only free scalar columns can qualify, and
+    their spectra come from the scalar pivot rows alone, which are zero on
+    the element columns. The first, in column order, that escapes the line
+    of the all-ones spectrum is back-solved, certified and returned. The
+    other levels are the same linear function of the kept ones for every
+    element, so this is the vector a scan of the kernel basis of the
+    all-level system finds. Independent of the classification and of the
+    constructors; returns None when no qualifying element exists.
     """
     Partition2(a, b)
-    require_odd_prime(p)
+    _require_word_prime(p)
     n = a + b
     ncols = _require_columns(n, b, budget)
-    sf = _f_spectrum(a, b, p)
-    for k in kernel_basis_fp(MatFp(constant_level_system(n, b, range(b)), p)):
-        s = Spectrum(p, tuple(int(x) for x in k[ncols:]))
-        if not s.is_multiple_of(sf):
-            u = Element(n, b, p, k[:ncols])
-            rep = verify_hemmer(u)
-            if not rep.is_hemmer:
+    kept = _kept_levels(b, p)
+    m = constant_level_system(n, b, kept)
+    m[:, ncols:] %= p  # the -1 scalar entries; the element columns are 0/1
+    _, pivots = _eliminate(m, p, full=False)
+    e = bisect_left(pivots, ncols)  # pivot rows from e on pivot on scalar columns
+    sf = _f_spectrum(a, b, p).levels
+    sf_kept = Spectrum(p, tuple(sf[v] for v in kept))
+    for g in range(ncols, m.shape[1]):
+        if g in pivots[e:]:
+            continue
+        levels = _kernel_vector(m, p, pivots, g, first=e)[ncols:]
+        if not Spectrum(p, tuple(levels.tolist())).is_multiple_of(sf_kept):
+            u = Element(n, b, p, _kernel_vector(m, p, pivots, g)[:ncols])
+            if not verify_hemmer(u).is_hemmer:
                 raise SelfCheckError("solver element failed verification")
             return u
     return None

@@ -298,6 +298,26 @@ def kernel_basis_fp(a: MatFp) -> list[np.ndarray]:
     return basis
 
 
+def _kernel_vector(m: np.ndarray, p: int, pivots: list[int], free: int, first: int = 0) -> np.ndarray:
+    """Kernel vector of the forward echelon form m: 1 at free column
+    `free`, 0 at the other free columns, back-substituted through the
+    pivot rows from `first` on; earlier rows' pivot coordinates stay 0.
+
+    A row reads only coordinates right of its unit pivot, which the rows
+    below it fix, so the solved ones are exact. t holds each unsolved
+    row's sum over the solved columns; its terms stay below p + p^2 < 2^63.
+    """
+    x = np.zeros(m.shape[1], dtype=np.int64)
+    x[free] = 1
+    t = m[first : len(pivots), free].copy()
+    for i in range(len(pivots) - 1, first - 1, -1):
+        xi = -int(t[i - first]) % p
+        if xi:
+            x[pivots[i]] = xi
+            t[: i - first] = (t[: i - first] + m[first:i, pivots[i]] * xi) % p
+    return x
+
+
 def solve_affine_fp(a: MatFp, rhs) -> np.ndarray | None:
     """The canonical echelon solution (free coordinates zero) of A x = rhs
     over GF(p), or None when the system is inconsistent."""

@@ -44,7 +44,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .linalg import MatFp, MatZ, _require_word_prime, rank_fp
+from .linalg import MatFp, MatZ, _eliminate, _require_word_prime
 from .numtheory import all_binoms_divisible, require_odd_prime
 
 __all__ = [
@@ -92,6 +92,14 @@ def _require_columns(n: int, b: int, budget: int) -> int:
     if ncols > budget:
         raise ValueError(f"C({n}, {b}) = {ncols} exceeds the budget of {budget} columns")
     return ncols
+
+
+def _require_ints(xs, what: str) -> None:
+    """Refuse, naming the first, any item that is not an int or a numpy
+    integer; bools, ints to Python, are refused too."""
+    for x in xs:
+        if not isinstance(x, (int, np.integer)) or isinstance(x, bool):
+            raise ValueError(f"{what} must be ints, got {x!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -177,7 +185,9 @@ class Element:
     here so that design solvers may return blocks covering more than half
     the ground set. Partition-specific entry points validate Partition2
     themselves. The coefficient vector must have an integer dtype that fits
-    int64; floats, bools, uint64 and object arrays are refused.
+    int64; floats, bools, uint64 and object arrays are refused, and so are
+    subset members and coefficients that are not ints in from_subsets and
+    coeff.
     """
 
     __slots__ = ("n", "b", "p", "vec")
@@ -214,8 +224,11 @@ class Element:
     @classmethod
     def from_subsets(cls, n: int, b: int, p: int,
                      coeffs: Mapping[tuple[int, ...], int]) -> "Element":
+        sets = [sorted(ms) for ms in coeffs]
+        _require_ints(chain(chain.from_iterable(sets), coeffs.values()),
+                      "subset members and coefficients")
         vec = np.zeros(_require_listable(n, b), dtype=np.int64)
-        vec[_ranks(n, b, [sorted(ms) for ms in coeffs])] = [c % p for c in coeffs.values()]
+        vec[_ranks(n, b, sets)] = [c % p for c in coeffs.values()]
         return cls(n, b, p, vec)
 
     def support(self) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -224,7 +237,9 @@ class Element:
         return zip(map(tuple, _members(self.n, self.b, idx).tolist()), self.vec[idx].tolist())
 
     def coeff(self, members: Iterable[int]) -> int:
-        return int(self.vec[_ranks(self.n, self.b, [sorted(members)])[0]])
+        ms = sorted(members)
+        _require_ints(ms, "subset members")
+        return int(self.vec[_ranks(self.n, self.b, [ms])[0]])
 
     def is_zero(self) -> bool:
         return not self.vec.any()
@@ -398,13 +413,15 @@ def specht_membership(u: Element) -> bool:
 def specht_dim(a: int, b: int, p: int) -> int:
     """Dimension over GF(p) of the joint kernel of psi_0..psi_(b-1).
 
-    Only the levels in _kept_levels(b, p) are eliminated; they imply the rest.
+    Only the levels in _kept_levels(b, p) are eliminated; they imply the
+    rest. The system's 0/1 element columns are already residues, so they
+    are eliminated in place, with no copy.
     """
     lam = Partition2(a, b)
-    require_odd_prime(p)
+    _require_word_prime(p)
     ncols = math.comb(lam.n, b)
     system = constant_level_system(lam.n, b, _kept_levels(b, p))
-    return ncols - rank_fp(MatFp(system[:, :ncols], p))
+    return ncols - len(_eliminate(system[:, :ncols], p, full=False)[1])
 
 
 def _check_partition(parts) -> tuple[int, ...]:

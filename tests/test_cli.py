@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import spechtdesigns
+from spechtdesigns import cli
 from spechtdesigns.cli import main
 from spechtdesigns.hemmer import SelfCheckError, construct_auto
 from spechtdesigns.tabloid import element_to_json
@@ -41,6 +42,27 @@ def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    fresh = cli.build_parser
+    assert fresh() is not fresh()
+    main(["classify", "--a", "3", "--b", "3", "--p", "3"])
+    capsys.readouterr()
+
+    def unbuilt():
+        raise AssertionError("main rebuilt its parser")
+    monkeypatch.setattr(cli, "build_parser", unbuilt)
+    rc, out, _ = run_cli(capsys, "classify", "--a", "3", "--b", "3", "--p", "3")
+    assert rc == 0 and json.loads(out)["kind"] == "pointed"
+    # help, usage errors and their exit codes match a fresh parser's
+    for argv in (["--help"], ["h1dim", "--help"], ["frobnicate"], ["h1dim", "--a", "x"], []):
+        outcomes = []
+        for parse in (main, fresh().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            outcomes.append((exc.value.code, capsys.readouterr()))
+        assert outcomes[0] == outcomes[1], argv
 
 
 def test_construct_verify_pipeline(tmp_path, capsys):

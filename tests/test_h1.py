@@ -1,11 +1,12 @@
 import csv
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from spechtdesigns import h1, tabloid
+from spechtdesigns import h1, linalg, tabloid
 from spechtdesigns.designs import constant_space_dim
 from spechtdesigns.h1 import (
     H1Report,
@@ -16,7 +17,7 @@ from spechtdesigns.h1 import (
     survey,
     survey_csv,
 )
-from spechtdesigns.linalg import MatFp, rank_fp
+from spechtdesigns.linalg import MatFp, rank_fp, rank_fp_prefix
 from spechtdesigns.tabloid import constant_level_system, psi_levels, specht_dim
 
 
@@ -143,16 +144,40 @@ def test_survey_csv_format():
 
 
 def test_pruned_dims_match_full_system():
-    # brute_force_h1 and specht_dim eliminate only the kept levels; the
-    # system on every level is the reference
+    # brute_force_h1 and specht_dim eliminate only the kept levels, in place;
+    # the system on every level is the reference, and the copying
+    # rank_fp_prefix on the kept levels must give the same pivot counts
     for p in (3, 5, 7):
         for n in range(2, 14):
             for b in range(1, n // 2 + 1):
                 ncols = math.comb(n, b)
                 full_S = ncols - rank_fp(MatFp(constant_level_system(n, b, range(b))[:, :ncols], p))
+                kept = MatFp(constant_level_system(n, b, tabloid._kept_levels(b, p)), p)
+                total, prefix = rank_fp_prefix(kept, ncols)
                 r = brute_force_h1(n - b, b, p)
                 assert (r.dim_D, r.dim_S) == (constant_space_dim(n, b, p, range(b)), full_S), (n, b, p)
+                assert (r.dim_D, r.dim_S) == (kept.shape[1] - total, ncols - prefix), (n, b, p)
                 assert specht_dim(n - b, b, p) == full_S, (n, b, p)
+
+
+def test_brute_force_holds_one_copy_of_its_system():
+    # the peak is the system's one array plus the elimination's own panel
+    # temporaries, measured first on an array built before tracing began;
+    # a second copy of the system would add a whole system's bytes
+    n, b, p = 13, 6, 3
+    system = constant_level_system(n, b, tabloid._kept_levels(b, p))
+    system %= p
+    brute_force_h1(n - b, b, p)  # warm the subset listings
+    tracemalloc.start()
+    try:
+        linalg._eliminate(system, p, full=False)
+        work = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        brute_force_h1(n - b, b, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * system.nbytes + work, (peak, system.nbytes, work)
 
 
 def test_brute_force_requests_kept_levels(monkeypatch):

@@ -4,7 +4,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from spechtdesigns.designs import DesignParams, _solve_levels_fp, find_t_design_fp, spectrum
+from spechtdesigns.designs import (
+    DesignParams,
+    Spectrum,
+    _solve_levels_fp,
+    find_t_design_fp,
+    spectrum,
+)
 from spechtdesigns.h1 import classify
 from spechtdesigns.hemmer import (
     SelfCheckError,
@@ -300,6 +306,35 @@ def test_solver_route_agrees_with_classification():
                 else:
                     assert found is not None
                     assert verify_hemmer(found).is_hemmer
+
+
+def reference_solver(a: int, b: int, p: int) -> np.ndarray | None:
+    """The kernel scan: the first canonical basis vector of the system on
+    every level whose spectrum escapes the all-ones line, as element
+    coordinates."""
+    n = a + b
+    ncols = math.comb(n, b)
+    sf = Spectrum(p, tuple(math.comb(n - v, b - v) % p for v in range(b)))
+    for k in kernel_basis_fp(MatFp(constant_level_system(n, b, range(b)), p)):
+        if not Spectrum(p, tuple(int(x) for x in k[ncols:])).is_multiple_of(sf):
+            return k[:ncols]
+    return None
+
+
+def test_solver_matches_kernel_scan():
+    # forward elimination on the kept levels returns the kernel scan's vector
+    found = 0
+    for p in (3, 5, 7):
+        for n in range(2, 14):
+            for b in range(1, n // 2 + 1):
+                want = reference_solver(n - b, b, p)
+                got = find_hemmer_by_solver(n - b, b, p)
+                if want is None:
+                    assert got is None, (n - b, b, p)
+                else:
+                    assert got is not None and np.array_equal(got.vec, want), (n - b, b, p)
+                    found += 1
+    assert found > 30
 
 
 def test_solver_budget():

@@ -163,6 +163,20 @@ def test_element_validation():
         u + w
 
 
+def test_subsets_and_coefficients_must_be_ints():
+    # each was coerced before: 1.5 and True stored as 1, 2.7 read as member 2
+    for coeffs in ({(1, 2): 1.5, (2, 3): True}, {(1, 2): 1, (2, 3): np.bool_(True)},
+                   {(1, 2.0): 1}, {(True, 2): 1}):
+        with pytest.raises(ValueError, match="must be ints"):
+            Element.from_subsets(4, 2, 3, coeffs)
+    u = Element.ones(3, 1, 3)
+    for members in ([2.7], [True], [np.float64(2)]):
+        with pytest.raises(ValueError, match="must be ints"):
+            u.coeff(members)
+    v = Element.from_subsets(4, 2, 3, {(np.int64(1), 2): np.int8(5), (2, 3): 2**70})
+    assert v.coeff([np.int32(2), 1]) == 2 and v.coeff((2, 3)) == 2**70 % 3
+
+
 def test_element_refuses_non_int64_vectors():
     # each was coerced or overflowed before: floats truncated, 2**64 raised OverflowError
     too_big = np.array([2**63, 1, 0], dtype=np.uint64)  # wrapped negative if cast
