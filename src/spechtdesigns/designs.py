@@ -217,7 +217,8 @@ def _solve_levels_fp(g: int, b: int, p: int, targets: dict[int, int]) -> Element
     are all targets[s] mod p, or None when there is none.
 
     The rhs overwrites the first scalar column, and [W | rhs] is
-    eliminated in place, so the system is the only copy alive. It needs no
+    eliminated forward in place, so the system is the only copy alive; the
+    solution is then back-solved from the rhs column alone. It needs no
     reduction: W is 0/1 and each rhs entry is a target mod p.
     """
     _require_word_prime(p)

@@ -152,7 +152,7 @@ def brute_force_h1(a: int, b: int, p: int, budget: int = 4000) -> H1Report:
     # the one copy: its -1 scalar entries are reduced and it is
     # eliminated in place
     system[:, ncols:] %= p
-    _, pivots = _eliminate(system, p, full=False)
+    _, pivots = _eliminate(system, p)
     dim_D = system.shape[1] - len(pivots)
     dim_S = ncols - bisect_left(pivots, ncols)
     f_in_S = specht_membership(f_lambda(a, b, p))
@@ -167,13 +167,25 @@ def brute_force_h1(a: int, b: int, p: int, budget: int = 4000) -> H1Report:
 
 
 def survey(n_max: int, primes, budget: int = 4000) -> list[H1Report]:
-    """Brute-force reports for every (a, b) with a + b <= n_max, each prime."""
-    out = []
-    for p in primes:
-        for n in range(2, n_max + 1):
-            for b in range(1, n // 2 + 1):
-                out.append(brute_force_h1(n - b, b, p, budget=budget))
-    return out
+    """Brute-force reports for every (a, b) with a + b <= n_max, each prime.
+
+    The primes, then the shapes' column counts in sweep order, are checked
+    before the first solve, so a refusal comes at once, not after every
+    shape before it is solved; a column refusal names the shape the sweep
+    would have stopped at.
+    """
+    primes = [_require_word_prime(p) for p in primes]
+    if primes:
+        for a, b in _shapes(n_max):
+            _require_columns(a + b, b, budget)
+    return [brute_force_h1(a, b, p, budget=budget) for p in primes for a, b in _shapes(n_max)]
+
+
+def _shapes(n_max: int):
+    """Every (a, b) with a >= b >= 1 and a + b <= n_max, in sweep order."""
+    for n in range(2, n_max + 1):
+        for b in range(1, n // 2 + 1):
+            yield n - b, b
 
 
 def check_main_theorem(n_max: int, primes, budget: int = 4000) -> list[H1Report]:

@@ -25,14 +25,13 @@ from .designs import (
     spectrum,
 )
 from .h1 import classify
-from .linalg import _eliminate, _kernel_vector, _require_word_prime
+from .linalg import _eliminate, _kernel_vector, _require_ints, _require_word_prime
 from .numtheory import binom_mod_p, p_adic_length, p_adic_val, require_odd_prime
 from .tabloid import (
     Element,
     Partition2,
     _kept_levels,
     _require_columns,
-    _require_ints,
     _require_listable,
     constant_level_system,
     f_lambda,
@@ -210,8 +209,9 @@ def construct_james(a: int, b: int, p: int) -> Element:
     the all-ones element are C(n-s, b-s); dividing by p^d with d their
     minimum valuation gives targets, not all divisible by p, that an
     integral design realizes; so the GF(p) level system with those targets
-    is consistent, and its canonical echelon solution is returned. The
-    targets obey the composition identity mod p, so the system on the
+    is consistent, and its canonical echelon solution is returned: one
+    forward elimination of the system, then a back-solve of its one rhs
+    column (designs._solve_levels_fp). The targets obey the composition identity mod p, so the system on the
     levels of _kept_levels(b, p) has the same augmented row space, hence
     the same echelon solution, as the one on all levels.
     """
@@ -302,7 +302,7 @@ def find_hemmer_by_solver(a: int, b: int, p: int, budget: int = 4000) -> Element
     kept = _kept_levels(b, p)
     m = constant_level_system(n, b, kept)
     m[:, ncols:] %= p  # the -1 scalar entries; the element columns are 0/1
-    _, pivots = _eliminate(m, p, full=False)
+    _, pivots = _eliminate(m, p)
     e = bisect_left(pivots, ncols)  # pivot rows from e on pivot on scalar columns
     sf = _f_spectrum(a, b, p).levels
     sf_kept = Spectrum(p, tuple(sf[v] for v in kept))

@@ -1,19 +1,22 @@
 """Exact dense linear algebra over GF(p) and over the integers.
 
 GF(p) matrices hold word-sized residues (p < 2^31) in numpy int64 arrays.
-One blocked echelon core serves rank, kernel and affine solve: pivots are
-found per column inside a panel, and the rest of the matrix receives the
-panel's row operations as matrix products. Those products run in float64
-BLAS only on chunks whose integer dot products are proven below 2^53, where
-float64 is exact, and in int64 otherwise; the bound is asserted where the
-product is taken. So there is no inexact arithmetic: float64 never holds a
-value it cannot represent.
+One blocked forward echelon core serves rank, kernel vectors and affine
+solve: pivots are found per column inside a panel, and the rest of the
+matrix receives the panel's row operations as matrix products. Those
+products run in float64 BLAS only on chunks whose integer dot products are
+proven below 2^53, where float64 is exact, and in int64 otherwise; the
+bound is asserted where the product is taken. So there is no inexact
+arithmetic: float64 never holds a value it cannot represent. Nothing is
+cleared above the pivots: a kernel vector or an affine solution is
+back-substituted, one column, through the echelon rows (_kernel_vector).
 Integer solving works on arbitrary-precision Python ints via a column
 echelon form built from unimodular column operations.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -24,9 +27,6 @@ __all__ = [
     "MatFp",
     "MatZ",
     "rank_fp",
-    "rank_fp_prefix",
-    "kernel_basis_fp",
-    "solve_affine_fp",
     "solve_integer",
 ]
 
@@ -38,14 +38,41 @@ def _require_word_prime(p: int) -> int:
     return require_odd_prime(p)
 
 
+def _require_ints(xs, what: str) -> None:
+    """Refuse, naming the first, any item that is not an int or a numpy
+    integer; bools, ints to Python, are refused too."""
+    for x in xs:
+        if not isinstance(x, (int, np.integer)) or isinstance(x, bool):
+            raise ValueError(f"{what} must be ints, got {x!r}")
+
+
+def _int64_array(x, what: str) -> np.ndarray:
+    """x as an int64 array; refuse entries that are not int64 integers.
+
+    The dtype decides, in O(1) for an array: floats, bools, uint64 and
+    object (ints past int64) are refused. Input that is not an array is
+    also checked item by item, since numpy reads True among ints as 1.
+    """
+    arr = np.asarray(x)
+    if arr.dtype.kind not in "iu" or not np.can_cast(arr.dtype, np.int64):
+        raise ValueError(f"{what} must be int64 integers, got dtype {arr.dtype}")
+    if not isinstance(x, np.ndarray):
+        _require_ints(np.asarray(x, dtype=object).flat, what)
+    return arr.astype(np.int64, copy=False)
+
+
 class MatFp:
-    """Matrix over GF(p); entries are int64 residues in [0, p)."""
+    """Matrix over GF(p); entries are int64 residues in [0, p).
+
+    The given entries must be int64 integers (see _int64_array); they are
+    reduced mod p.
+    """
 
     __slots__ = ("entries", "p")
 
     def __init__(self, entries, p: int):
         _require_word_prime(p)
-        arr = np.asarray(entries, dtype=np.int64)
+        arr = _int64_array(entries, "matrix entries")
         if arr.ndim != 2:
             raise ValueError(f"expected a 2-d matrix, got shape {arr.shape}")
         self.entries = arr % p
@@ -62,7 +89,7 @@ class MatFp:
 
     def apply(self, vec) -> np.ndarray:
         """Matrix-vector product mod p."""
-        v = np.asarray(vec, dtype=np.int64) % self.p
+        v = _int64_array(vec, "vector entries") % self.p
         return _matmul_mod(self.entries, v.reshape(-1, 1), self.p).ravel()
 
     def __eq__(self, other) -> bool:
@@ -139,8 +166,9 @@ def _reduce(x: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
-def _eliminate(m: np.ndarray, p: int, full: bool) -> tuple[np.ndarray, list[int]]:
-    """Row reduce in place. full=True gives RREF, else forward echelon only.
+def _eliminate(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Row reduce m in place to forward echelon form with unit pivots;
+    return it and the pivot columns. Entries above the pivots stay.
 
     Columns are taken in panels of _PANEL. Inside a panel the pivots are
     found one at a time as in plain Gaussian elimination, but only the
@@ -162,8 +190,6 @@ def _eliminate(m: np.ndarray, p: int, full: bool) -> tuple[np.ndarray, list[int]
             _update_trailing(m, p, r, f, inv, c1)
         pivots += [c0 + c for c in pc]
         r += len(pc)
-    if full:
-        _back_substitute(m, p, pivots)
     return m, pivots
 
 
@@ -227,27 +253,6 @@ def _update_trailing(m: np.ndarray, p: int, r0: int, f: np.ndarray, inv: list[in
     _subtract_rows(m, p, r0 + k, f[k:], top, c1)
 
 
-def _back_substitute(m: np.ndarray, p: int, pivots: list[int]) -> None:
-    """Clear above the pivots of a forward echelon form, last block first.
-
-    Each block of _PANEL pivot rows is multiplied by the inverse of its
-    unit upper triangular pivot part, which reduces it; the rows above
-    then subtract their pivot-column entries times the block.
-    """
-    for j0 in reversed(range(0, len(pivots), _PANEL)):
-        pc = pivots[j0 : j0 + _PANEL]
-        k, c = len(pc), pc[0]
-        a = m[j0 : j0 + k, pc]
-        y = np.eye(k, dtype=np.int64)
-        for j in reversed(range(k)):
-            tgt = np.flatnonzero(a[:j, j])
-            if tgt.size:
-                y[tgt, j:] = _reduce(y[tgt, j:] - np.outer(a[tgt, j], y[j, j:]), p)
-        block = m[j0 : j0 + k, c:]
-        _matmul_mod(y - np.eye(k, dtype=np.int64), block, p, out=block)
-        _subtract_rows(m, p, 0, m[:j0, pc], block, c)
-
-
 def _subtract_rows(m: np.ndarray, p: int, r0: int, g: np.ndarray, block: np.ndarray, c: int) -> None:
     """m[r0 + i, c:] -= g[i] @ block mod p, skipping the rows where g is zero."""
     live = np.flatnonzero(g.any(axis=1))
@@ -260,42 +265,8 @@ def _subtract_rows(m: np.ndarray, p: int, r0: int, g: np.ndarray, block: np.ndar
 
 def rank_fp(a: MatFp) -> int:
     """Rank over GF(p)."""
-    _, pivots = _eliminate(a.entries.copy(), a.p, full=False)
+    _, pivots = _eliminate(a.entries.copy(), a.p)
     return len(pivots)
-
-
-def rank_fp_prefix(a: MatFp, prefix: int) -> tuple[int, int]:
-    """Rank of the whole matrix and of its first `prefix` columns, one pass.
-
-    Left-to-right elimination makes the pivot count inside the first k
-    columns equal the rank of that column block, so both numbers fall out
-    of a single sweep.
-    """
-    if not 0 <= prefix <= a.shape[1]:
-        raise ValueError(f"prefix {prefix} out of range for {a.shape[1]} columns")
-    _, pivots = _eliminate(a.entries.copy(), a.p, full=False)
-    return len(pivots), sum(1 for c in pivots if c < prefix)
-
-
-def kernel_basis_fp(a: MatFp) -> list[np.ndarray]:
-    """Basis of the right kernel, one vector per free column.
-
-    Built from the RREF, so the result is the canonical column-reduced
-    basis: vector k for free column f has k[f] = 1 and support otherwise
-    only on pivot columns.
-    """
-    cols, p = a.shape[1], a.p
-    m, pivots = _eliminate(a.entries.copy(), p, full=True)
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(cols):
-        if f in pivot_set:
-            continue
-        v = np.zeros(cols, dtype=np.int64)
-        v[f] = 1
-        v[pivots] = -m[: len(pivots), f] % p
-        basis.append(v)
-    return basis
 
 
 def _kernel_vector(m: np.ndarray, p: int, pivots: list[int], free: int, first: int = 0) -> np.ndarray:
@@ -318,27 +289,20 @@ def _kernel_vector(m: np.ndarray, p: int, pivots: list[int], free: int, first: i
     return x
 
 
-def solve_affine_fp(a: MatFp, rhs) -> np.ndarray | None:
-    """The canonical echelon solution (free coordinates zero) of A x = rhs
-    over GF(p), or None when the system is inconsistent."""
-    p = a.p
-    b = np.asarray(rhs, dtype=np.int64).ravel() % p
-    if b.shape[0] != a.shape[0]:
-        raise ValueError(f"rhs length {b.shape[0]} != row count {a.shape[0]}")
-    return _solve_augmented(np.hstack([a.entries, b.reshape(-1, 1)]), p)
-
-
 def _solve_augmented(aug: np.ndarray, p: int) -> np.ndarray | None:
-    """solve_affine_fp on [A | b] given as one residue array, which is
-    eliminated in place."""
-    m, pivots = _eliminate(aug, p, full=True)
+    """The canonical echelon solution (free coordinates zero) of A x = b
+    over GF(p), or None when the system is inconsistent.
+
+    [A | b] is given as one residue array and eliminated forward, in
+    place. A pivot in the rhs column certifies inconsistency. Otherwise
+    the rhs column is free, and its kernel vector (1 there, 0 at the other
+    free columns) is minus the solution.
+    """
+    _, pivots = _eliminate(aug, p)
     cols = aug.shape[1] - 1
-    # a pivot in the rhs column certifies inconsistency
     if pivots and pivots[-1] == cols:
         return None
-    x = np.zeros(cols, dtype=np.int64)
-    x[pivots] = m[: len(pivots), cols]
-    return x
+    return -_kernel_vector(aug, p, pivots, cols)[:cols] % p
 
 
 class MatZ:
@@ -347,7 +311,9 @@ class MatZ:
     __slots__ = ("rows",)
 
     def __init__(self, rows: Sequence[Sequence[int]]):
-        data = tuple(tuple(int(x) for x in row) for row in rows)
+        data = tuple(map(tuple, rows))
+        _require_ints(chain.from_iterable(data), "matrix entries")
+        data = tuple(tuple(map(int, row)) for row in data)
         if data and any(len(r) != len(data[0]) for r in data):
             raise ValueError("ragged rows")
         self.rows = data
@@ -363,6 +329,7 @@ class MatZ:
         return (len(self.rows), len(self.rows[0]))
 
     def apply(self, vec: Sequence[int]) -> list[int]:
+        _require_ints(vec, "vector entries")
         return [sum(a * x for a, x in zip(row, vec)) for row in self.rows]
 
     def __eq__(self, other) -> bool:
@@ -382,6 +349,7 @@ def solve_integer(a: MatZ, rhs: Sequence[int]) -> list[int] | None:
     result is verified against A before it is returned.
     """
     m, n = a.shape
+    _require_ints(rhs, "rhs entries")
     b = [int(x) for x in rhs]
     if len(b) != m:
         raise ValueError(f"rhs length {len(b)} != row count {m}")

@@ -44,7 +44,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .linalg import MatFp, MatZ, _eliminate, _require_word_prime
+from .linalg import MatFp, MatZ, _eliminate, _int64_array, _require_ints, _require_word_prime
 from .numtheory import all_binoms_divisible, require_odd_prime
 
 __all__ = [
@@ -92,14 +92,6 @@ def _require_columns(n: int, b: int, budget: int) -> int:
     if ncols > budget:
         raise ValueError(f"C({n}, {b}) = {ncols} exceeds the budget of {budget} columns")
     return ncols
-
-
-def _require_ints(xs, what: str) -> None:
-    """Refuse, naming the first, any item that is not an int or a numpy
-    integer; bools, ints to Python, are refused too."""
-    for x in xs:
-        if not isinstance(x, (int, np.integer)) or isinstance(x, bool):
-            raise ValueError(f"{what} must be ints, got {x!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -186,8 +178,8 @@ class Element:
     the ground set. Partition-specific entry points validate Partition2
     themselves. The coefficient vector must have an integer dtype that fits
     int64; floats, bools, uint64 and object arrays are refused, and so are
-    subset members and coefficients that are not ints in from_subsets and
-    coeff.
+    a bool in a list, and subset members and coefficients that are not ints
+    in from_subsets and coeff.
     """
 
     __slots__ = ("n", "b", "p", "vec")
@@ -197,13 +189,10 @@ class Element:
         if b < 1:
             raise ValueError(f"need b >= 1, got b={b}")
         want = _require_listable(n, b)
-        arr = np.asarray(vec)
+        arr = _int64_array(vec, "coefficients")
         if arr.shape != (want,):
             raise ValueError(f"coefficient vector must have length C({n},{b}) = {want}")
-        # on the dtype alone, O(1): floats, bools, uint64 and ints past int64 (object) refuse
-        if arr.dtype.kind not in "iu" or not np.can_cast(arr.dtype, np.int64):
-            raise ValueError(f"coefficients must be int64 integers, got dtype {arr.dtype}")
-        arr = arr.astype(np.int64, copy=False) % p
+        arr = arr % p
         self.n = n
         self.b = b
         self.p = p
@@ -421,7 +410,7 @@ def specht_dim(a: int, b: int, p: int) -> int:
     _require_word_prime(p)
     ncols = math.comb(lam.n, b)
     system = constant_level_system(lam.n, b, _kept_levels(b, p))
-    return ncols - len(_eliminate(system[:, :ncols], p, full=False)[1])
+    return ncols - len(_eliminate(system[:, :ncols], p)[1])
 
 
 def _check_partition(parts) -> tuple[int, ...]:

@@ -266,6 +266,19 @@ def test_determinism(capsys):
     assert runs[0] == runs[1]
 
 
+def test_package_exports_every_layer_name():
+    # the package __all__ is the union of the layers' __all__ (cli excepted)
+    from spechtdesigns import designs, h1, hemmer, linalg, numtheory, tabloid
+    layers = (numtheory, linalg, tabloid, designs, h1, hemmer)
+    names = set().union(*(m.__all__ for m in layers))
+    assert sorted(spechtdesigns.__all__) == sorted(names)
+    for m in layers:
+        for name in m.__all__:
+            assert getattr(spechtdesigns, name) is getattr(m, name)
+    for gone in ("kernel_basis_fp", "solve_affine_fp", "rank_fp_prefix"):
+        assert gone not in names and not hasattr(spechtdesigns, gone)
+
+
 def test_module_entry_point():
     r = subprocess.run(
         [sys.executable, "-m", "spechtdesigns.cli",
@@ -315,6 +328,13 @@ def test_classify_huge_composite_exits_2():
                    timeout=20)
     assert r.returncode == 2
     assert "must be a prime" in r.stderr
+
+
+def test_survey_over_budget_exits_2_at_once():
+    # it exited 2 with this message only after solving every shape with n <= 14
+    r = run_capped("survey", "--nmax", "15", "--p", "3", timeout=20)
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == "error: C(15, 6) = 5005 exceeds the budget of 4000 columns\n"
 
 
 def test_design_integral_oversized_exits_2():

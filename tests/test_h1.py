@@ -17,7 +17,7 @@ from spechtdesigns.h1 import (
     survey,
     survey_csv,
 )
-from spechtdesigns.linalg import MatFp, rank_fp, rank_fp_prefix
+from spechtdesigns.linalg import MatFp, rank_fp
 from spechtdesigns.tabloid import constant_level_system, psi_levels, specht_dim
 
 
@@ -127,6 +127,21 @@ def test_report_json():
     }
 
 
+def test_survey_refuses_before_it_solves(monkeypatch):
+    # each refusal came only after every shape before it was solved
+    solved = []
+    real = h1.brute_force_h1
+    monkeypatch.setattr(h1, "brute_force_h1", lambda *args, **kw: solved.append(args) or real(*args, **kw))
+    with pytest.raises(ValueError, match=r"^C\(15, 6\) = 5005 exceeds the budget of 4000 columns$"):
+        survey(15, [3])
+    with pytest.raises(ValueError, match="prime >= 3, got 4"):
+        survey(14, [3, 4])
+    with pytest.raises(ValueError, match="too large"):
+        check_main_theorem(6, [3, 2147483659])
+    assert solved == []
+    assert len(survey(4, [3])) == len(solved) == 4
+
+
 def test_survey_csv_format():
     reports = survey(7, (3,))
     text = survey_csv(reports)
@@ -145,15 +160,16 @@ def test_survey_csv_format():
 
 def test_pruned_dims_match_full_system():
     # brute_force_h1 and specht_dim eliminate only the kept levels, in place;
-    # the system on every level is the reference, and the copying
-    # rank_fp_prefix on the kept levels must give the same pivot counts
+    # the system on every level is the reference, and copying ranks of the
+    # kept-level system and of its element columns must give the same counts
     for p in (3, 5, 7):
         for n in range(2, 14):
             for b in range(1, n // 2 + 1):
                 ncols = math.comb(n, b)
                 full_S = ncols - rank_fp(MatFp(constant_level_system(n, b, range(b))[:, :ncols], p))
                 kept = MatFp(constant_level_system(n, b, tabloid._kept_levels(b, p)), p)
-                total, prefix = rank_fp_prefix(kept, ncols)
+                total = rank_fp(kept)
+                prefix = rank_fp(MatFp(kept.entries[:, :ncols], p))
                 r = brute_force_h1(n - b, b, p)
                 assert (r.dim_D, r.dim_S) == (constant_space_dim(n, b, p, range(b)), full_S), (n, b, p)
                 assert (r.dim_D, r.dim_S) == (kept.shape[1] - total, ncols - prefix), (n, b, p)
@@ -170,7 +186,7 @@ def test_brute_force_holds_one_copy_of_its_system():
     brute_force_h1(n - b, b, p)  # warm the subset listings
     tracemalloc.start()
     try:
-        linalg._eliminate(system, p, full=False)
+        linalg._eliminate(system, p)
         work = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         brute_force_h1(n - b, b, p)

@@ -23,7 +23,8 @@ from spechtdesigns.hemmer import (
     find_hemmer_by_solver,
     verify_hemmer,
 )
-from spechtdesigns.linalg import MatFp, kernel_basis_fp
+from linalg_reference import kernel_basis
+from spechtdesigns.linalg import MatFp
 from spechtdesigns.numtheory import p_adic_length, p_adic_val
 from spechtdesigns.tabloid import (
     Element,
@@ -38,7 +39,7 @@ def random_kernel_element(a: int, b: int, p: int, rng) -> Element:
     """Random element killed by every level map."""
     n = a + b
     ncols = math.comb(n, b)
-    basis = kernel_basis_fp(MatFp(constant_level_system(n, b, range(b))[:, :ncols], p))
+    basis = kernel_basis(MatFp(constant_level_system(n, b, range(b))[:, :ncols], p))
     vec = np.zeros(ncols, dtype=np.int64)
     for k in basis:
         vec = (vec + int(rng.integers(0, p)) * k) % p
@@ -315,7 +316,7 @@ def reference_solver(a: int, b: int, p: int) -> np.ndarray | None:
     n = a + b
     ncols = math.comb(n, b)
     sf = Spectrum(p, tuple(math.comb(n - v, b - v) % p for v in range(b)))
-    for k in kernel_basis_fp(MatFp(constant_level_system(n, b, range(b)), p)):
+    for k in kernel_basis(MatFp(constant_level_system(n, b, range(b)), p)):
         if not Spectrum(p, tuple(int(x) for x in k[ncols:])).is_multiple_of(sf):
             return k[:ncols]
     return None

@@ -6,16 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spechtdesigns import linalg
-from spechtdesigns.linalg import (
-    MatFp,
-    MatZ,
-    kernel_basis_fp,
-    rank_fp,
-    rank_fp_prefix,
-    solve_affine_fp,
-    solve_integer,
-)
+from linalg_reference import blocked_rref, canonical_solution, kernel_basis
+from spechtdesigns import designs, linalg
+from spechtdesigns.designs import DesignParams, find_t_design_fp
+from spechtdesigns.hemmer import construct_james
+from spechtdesigns.linalg import MatFp, MatZ, rank_fp, solve_integer
 from spechtdesigns.tabloid import constant_level_system
 
 
@@ -131,9 +126,10 @@ def test_eliminate_matches_reference(monkeypatch, p, panel):
     monkeypatch.setattr(linalg, "_PANEL", panel)
     rng = np.random.default_rng(panel * 7 + p % 1000)
     for a in random_cases(rng, p, panel):
-        for full in (False, True):
+        # forward echelon from the library, RREF from the test-side back-substitution
+        for full, run in ((False, linalg._eliminate), (True, blocked_rref)):
             want = reference_eliminate(a.copy(), p, full)
-            got = linalg._eliminate(a.copy(), p, full)
+            got = run(a.copy(), p)
             assert got[1] == want[1]
             assert np.array_equal(got[0], want[0])
 
@@ -141,20 +137,20 @@ def test_eliminate_matches_reference(monkeypatch, p, panel):
 def test_eliminate_matches_reference_on_sweep():
     """Every brute-force H^1 system with a + b <= 13 and p in {3, 5}.
 
-    The reference runs in forward mode only, for time. The RREF is then
-    checked against it: it is reduced echelon with the same pivots, and
-    the reference echelon rows lie in its row space, so both spans agree
-    and the RREF is the unique one.
+    The reference runs in forward mode only, for time. The test-side
+    blocked RREF is then checked against it: it is reduced echelon with
+    the same pivots, and the reference echelon rows lie in its row space,
+    so both spans agree and the RREF is the unique one.
     """
     for p in (3, 5):
         for n in range(2, 14):
             for b in range(1, n // 2 + 1):
                 a = constant_level_system(n, b, range(b)) % p
                 echelon, pivots = reference_eliminate(a.copy(), p, full=False)
-                got, got_pivots = linalg._eliminate(a.copy(), p, full=False)
+                got, got_pivots = linalg._eliminate(a.copy(), p)
                 assert got_pivots == pivots
                 assert np.array_equal(got, echelon)
-                rref, rref_pivots = linalg._eliminate(a.copy(), p, full=True)
+                rref, rref_pivots = blocked_rref(a.copy(), p)
                 r = len(pivots)
                 assert rref_pivots == pivots
                 assert not rref[r:].any()
@@ -191,33 +187,34 @@ def test_word_size_prime_guard():
 def test_rank_examples():
     assert rank_fp(MatFp([[1, 2], [2, 4]], 3)) == 1  # second row is twice the first
     assert rank_fp(MatFp([[1, 0], [0, 1]], 3)) == 2
-    assert rank_fp(MatFp(np.zeros((3, 4)), 5)) == 0
+    assert rank_fp(MatFp(np.zeros((3, 4), dtype=np.int64), 5)) == 0
     # rank drops mod 3: det = 3
     assert rank_fp(MatFp([[1, 2], [2, 1]], 3)) == 1
 
 
 def test_rank_prefix_matches_two_runs():
+    # brute_force_h1 reads the rank of a column prefix off the pivots of
+    # one elimination of the whole matrix
     rng = np.random.default_rng(11)
     for _ in range(20):
         p = int(rng.choice([3, 5]))
         rows, cols = int(rng.integers(1, 7)), int(rng.integers(1, 7))
         a = rng.integers(0, p, size=(rows, cols))
         k = int(rng.integers(0, cols + 1))
-        total, prefix = rank_fp_prefix(MatFp(a, p), k)
-        assert total == rank_fp(MatFp(a, p))
-        assert prefix == rank_fp(MatFp(a[:, :k], p)) if k else prefix == 0
-    with pytest.raises(ValueError):
-        rank_fp_prefix(MatFp([[1]], 3), 5)
+        _, pivots = linalg._eliminate(a.copy(), p)
+        assert len(pivots) == rank_fp(MatFp(a, p))
+        assert sum(c < k for c in pivots) == rank_fp(MatFp(a[:, :k], p))
 
 
 def test_kernel_basis_properties():
+    # the test-side canonical kernel basis, which other tests use as reference
     rng = np.random.default_rng(23)
     for _ in range(25):
         p = int(rng.choice([3, 5]))
         rows, cols = int(rng.integers(1, 6)), int(rng.integers(1, 6))
         a = rng.integers(0, p, size=(rows, cols))
         m = MatFp(a, p)
-        basis = kernel_basis_fp(m)
+        basis = kernel_basis(m)
         assert len(basis) == cols - rank_fp(m)
         for v in basis:
             assert not m.apply(v).any()
@@ -225,9 +222,14 @@ def test_kernel_basis_properties():
             assert rank_fp(MatFp(np.array(basis), p)) == len(basis)
         # canonical form: one vector per free column f, 1 at f, 0 at the other frees
         pivots = [c for c in range(cols)
-                  if rank_fp_prefix(m, c + 1)[1] > rank_fp_prefix(m, c)[1]]
+                  if rank_fp(MatFp(a[:, : c + 1], p)) > rank_fp(MatFp(a[:, :c], p))]
         free = [f for f in range(cols) if f not in pivots]
         assert [v[free].tolist() for v in basis] == np.eye(len(free), dtype=int).tolist()
+
+
+def solve(a: np.ndarray, rhs, p: int) -> np.ndarray | None:
+    """linalg._solve_augmented on a copy of [a | rhs] mod p."""
+    return linalg._solve_augmented(np.column_stack([a, rhs]) % p, p)
 
 
 def test_affine_solution_against_enumeration():
@@ -237,15 +239,14 @@ def test_affine_solution_against_enumeration():
         rows, cols = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         a = rng.integers(0, p, size=(rows, cols))
         rhs = rng.integers(0, p, size=rows)
-        m = MatFp(a, p)
-        sol = solve_affine_fp(m, rhs)
+        sol = solve(a, rhs, p)
         want = brute_solutions(a, rhs, p)
         if not want:
             assert sol is None
             continue
         assert tuple(sol) in want
         # particular + kernel span reproduces the whole solution set
-        kernel = kernel_basis_fp(m)
+        kernel = kernel_basis(MatFp(a, p))
         got = set()
         for coeffs in itertools.product(range(p), repeat=len(kernel)):
             x = sol.copy()
@@ -257,7 +258,63 @@ def test_affine_solution_against_enumeration():
 
 def test_affine_free_coordinates_are_zero():
     # one equation, three unknowns: echelon particular keeps frees at zero
-    assert solve_affine_fp(MatFp([[1, 1, 1]], 3), [2]).tolist() == [2, 0, 0]
+    assert solve(np.array([[1, 1, 1]]), [2], 3).tolist() == [2, 0, 0]
+
+
+@pytest.mark.parametrize("p", WORD_PRIMES)
+def test_solve_matches_rref(p):
+    # consistent and inconsistent systems around the panel width
+    rng = np.random.default_rng(p % 1000 + 1)
+    outcomes = set()
+    for a in random_cases(rng, p, linalg._PANEL):
+        x0 = rng.integers(0, p, size=a.shape[1])
+        for rhs in (exact_product(a, x0.reshape(-1, 1), p).ravel(),
+                    rng.integers(0, p, size=a.shape[0])):
+            aug = np.column_stack([a, rhs])
+            want = canonical_solution(aug, p)
+            got = linalg._solve_augmented(aug, p)
+            if want is None:
+                assert got is None
+            else:
+                assert got is not None and np.array_equal(got, want)
+            outcomes.add(want is None)
+    assert outcomes == {False, True}
+
+
+# the james workload's shapes in bench/run.py
+JAMES_BENCH = ((8, 3, 3), (8, 4, 3), (9, 3, 5), (9, 4, 5), (14, 3, 5), (4, 4, 5),
+               (11, 2, 3), (14, 2, 5), (17, 2, 3))
+
+
+def test_solve_matches_rref_on_level_systems(monkeypatch):
+    """Every GF(p) level system the library solves here: the t-designs with
+    g <= 10, 0 <= t < b < g, targets 0, 1, 2 and p in {3, 5, 7}, the james
+    benchmark shapes and (8, 5, 3) give the RREF's canonical solution, or
+    None exactly where the RREF finds a pivot in the rhs column."""
+    solved = {True: 0, False: 0}
+    real = linalg._solve_augmented
+
+    def checked(aug, p):
+        want = canonical_solution(aug, p)
+        got = real(aug, p)
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None and np.array_equal(got, want)
+        solved[want is not None] += 1
+        return got
+
+    monkeypatch.setattr(designs, "_solve_augmented", checked)
+    for p in (3, 5, 7):
+        for g in range(2, 11):
+            for b in range(1, g):
+                for t in range(b):
+                    for target in (0, 1, 2):
+                        find_t_design_fp(DesignParams(g, b, t, p), target)
+    assert solved == {True: 1321, False: 164}  # 1485 systems
+    for a, b, p in JAMES_BENCH + ((8, 5, 3),):
+        construct_james(a, b, p)
+    assert solved == {True: 1321 + len(JAMES_BENCH) + 1, False: 164}
 
 
 def test_solve_integer_examples():
@@ -300,6 +357,30 @@ def test_matz_validation():
         solve_integer(MatZ([[1, 2]]), [1, 2])
 
 
+def test_matrices_refuse_non_int_entries():
+    # each was coerced or overflowed before: floats truncated, True read
+    # as 1, 2**64 raised OverflowError
+    too_big = np.array([[2**63]], dtype=np.uint64)  # wrapped negative if cast
+    for entries in ([[1.5, 2.9]], [[True, 2]], [[2**64]], np.array([[1.0, 2.0]]), too_big):
+        with pytest.raises(ValueError, match="must be int"):
+            MatFp(entries, 3)
+    for vec in ([0.5, 1.7], [True, 1]):
+        with pytest.raises(ValueError, match="must be int"):
+            MatFp([[1, 2]], 3).apply(vec)
+    for rows in ([[1.5, 2]], [[True, 2]]):
+        with pytest.raises(ValueError, match="must be ints"):
+            MatZ(rows)
+    with pytest.raises(ValueError, match="must be ints"):
+        MatZ([[1, 2]]).apply([1.5, True])
+    with pytest.raises(ValueError, match="must be ints"):
+        solve_integer(MatZ([[2]]), [4.9])
+    # ints and numpy integers still go through
+    assert MatFp([[np.int8(4), -1]], 3).entries.tolist() == [[1, 2]]
+    assert MatFp([[1, 2]], 3).apply(np.array([1, 1], dtype=np.int32)).tolist() == [0]
+    assert MatZ([[np.int64(2), 2**70]]).rows == ((2, 2**70),)
+    assert solve_integer(MatZ([[2]]), [np.int64(4)]) == [2]
+
+
 @settings(max_examples=60)
 @given(
     st.integers(min_value=1, max_value=4),
@@ -313,4 +394,4 @@ def test_rank_bounds_and_kernel_dim(rows, cols, p, seed):
     m = MatFp(a, p)
     r = rank_fp(m)
     assert 0 <= r <= min(rows, cols)
-    assert len(kernel_basis_fp(m)) == cols - r
+    assert len(kernel_basis(m)) == cols - r
