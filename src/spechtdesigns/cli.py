@@ -3,7 +3,10 @@
 Subcommands map one-to-one onto library entry points and print JSON
 (CSV for survey). construct writes its element through
 tabloid.element_to_text, which gives exactly the bytes of
-json.dumps(element_to_json(u), indent=...) without building the dict.
+json.dumps(element_to_json(u), indent=...) without building the dict;
+verify reads it back through tabloid.element_from_text, which decodes that
+layout in one pass and any other text as json.loads and element_from_json
+would, with their errors.
 Exit codes: 0 success, 2 invalid input or an input too large to hold in
 memory, 1 a constructed object failed its own verification.
 """
@@ -32,7 +35,7 @@ from .hemmer import (
     find_hemmer_by_solver,
     verify_hemmer,
 )
-from .tabloid import element_from_json, element_to_json, element_to_text
+from .tabloid import element_from_text, element_to_json, element_to_text
 
 __all__ = ["main", "build_parser"]
 
@@ -139,8 +142,7 @@ def _cmd_construct(args) -> None:
 
 def _cmd_verify(args) -> None:
     with open(args.file, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    u = element_from_json(doc)
+        u = element_from_text(fh.read())
     _emit(args, verify_hemmer(u).to_json())
 
 

@@ -125,7 +125,7 @@ def adjoin(u: Element, new_points) -> Element:
     new_masks = subsets_colex(n2, u.b + k)
     vec = np.zeros(len(new_masks), dtype=np.int64)
     vec[(new_masks & ymask) == ymask] = u.vec
-    return Element(n2, u.b + k, u.p, vec)
+    return Element._of_residues(n2, u.b + k, u.p, vec)
 
 
 def _certify(u: Element, name: str, levels_ok) -> Element:

@@ -14,7 +14,10 @@ to colex indices and is the one place that validates members; _members
 maps indices back to member rows. element_to_json is the element's JSON
 form as a dict; element_to_text writes the same document as text, equal
 byte for byte to json.dumps of the dict, from one (m, b+1) array of
-members and coefficients filled into one template.
+members and coefficients filled into one template. _layout holds that
+template, and element_from_text inverts it: it checks a text against the
+template and reads its digit runs into one int64 array, and hands any
+other text to json.loads and element_from_json.
 
 psi_v sends a b-subset to the formal sum of its v-subsets. Its matrix is
 the 0/1 inclusion matrix W_{v,b} of v-subsets into b-subsets. One walk
@@ -36,6 +39,7 @@ composition identity; _kept_levels names the ones that are not.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -64,6 +68,7 @@ __all__ = [
     "element_to_json",
     "element_to_text",
     "element_from_json",
+    "element_from_text",
 ]
 
 _MAX_GROUND = 62  # masks live in int64
@@ -197,6 +202,18 @@ class Element:
         self.b = b
         self.p = p
         self.vec = arr
+
+    @classmethod
+    def _of_residues(cls, n: int, b: int, p: int, vec: np.ndarray) -> "Element":
+        """An element on vec itself: no check, reduction or copy.
+
+        Only for an int64 vector of length C(n, b) that the caller has just
+        allocated and filled with entries in [0, p), where n, b and p have
+        passed the checks of __init__.
+        """
+        u = object.__new__(cls)
+        u.n, u.b, u.p, u.vec = n, b, p, vec
+        return u
 
     @property
     def a(self) -> int:
@@ -448,17 +465,13 @@ def element_to_json(u: Element) -> dict:
     }
 
 
-def element_to_text(u: Element, indent: int | None = None) -> str:
-    """element_to_json(u) as text: exactly json.dumps(element_to_json(u), indent=indent).
+def _layout(b: int, m: int, indent: int | None) -> tuple[str, str, str, str]:
+    """The element text's template for b and m support blocks: (head, entry, sep, tail).
 
-    No per-entry Python work: the members and coefficient of each support
-    block form one (m, b+1) int64 array, and one per-entry template,
-    repeated m times and joined, is filled from it by a single %.
+    The text is head + sep.join([entry] * m) + tail, its 3 + m(b+1) %d
+    slots filled by p, a, b and then each block's b members and
+    coefficient; breaks and spaces are those of json.dumps(..., indent=indent).
     """
-    idx = np.flatnonzero(u.vec)
-    rows = np.empty((len(idx), u.b + 1), dtype=np.int64)
-    rows[:, :-1] = _members(u.n, u.b, idx)
-    rows[:, -1] = u.vec[idx]
     pad = None if indent is None else " " * indent
     comma = ", " if pad is None else ","  # json.dumps drops the space once it indents
 
@@ -468,13 +481,129 @@ def element_to_text(u: Element, indent: int | None = None) -> str:
     def items(parts: list[str], depth: int) -> str:
         return brk(depth) + (comma + brk(depth)).join(parts) + brk(depth - 1)
 
-    entries = "[]"
-    if len(rows):
-        entry = "{" + items(['"set": [' + items(["%d"] * u.b, 4) + "]", '"coeff": %d'], 3) + "}"
-        template = "[" + items([entry] * len(rows), 2) + "]"
-        entries = template % tuple(rows.ravel().tolist())
-    head = [f'"p": {u.p}', f'"a": {u.a}', f'"b": {u.b}', '"entries": ' + entries]
-    return "{" + items(head, 1) + "}"
+    entry = "{" + items(['"set": [' + items(["%d"] * b, 4) + "]", '"coeff": %d'], 3) + "}"
+    # "|" stands for the entries; json.dumps writes an empty list as [] unbroken
+    entries = "[" + items(["|"], 2) + "]" if m else "[|]"
+    head = ['"p": %d', '"a": %d', '"b": %d', '"entries": ' + entries]
+    start, end = ("{" + items(head, 1) + "}").split("|")
+    return start, entry, comma + brk(2), end
+
+
+def element_to_text(u: Element, indent: int | None = None) -> str:
+    """element_to_json(u) as text: exactly json.dumps(element_to_json(u), indent=indent).
+
+    No per-entry Python work: the members and coefficient of each support
+    block form one (m, b+1) int64 array, and the _layout template, its
+    entry repeated m times, is filled from it by a single %.
+    """
+    idx = np.flatnonzero(u.vec)
+    rows = np.empty((len(idx), u.b + 1), dtype=np.int64)
+    rows[:, :-1] = _members(u.n, u.b, idx)
+    rows[:, -1] = u.vec[idx]
+    head, entry, sep, tail = _layout(u.b, len(rows), indent)
+    return (head + sep.join([entry] * len(rows)) + tail) % (u.p, u.a, u.b, *rows.ravel().tolist())
+
+
+_DIGITS = b"0123456789"
+_DIGIT_FLAGS = bytes(c in _DIGITS for c in range(256))  # bytes.translate: digits to 1, else 0
+_MAX_DIGITS = 18  # every run of at most 18 digits is exact in int64
+
+
+def _slot_offsets(template: str) -> np.ndarray:
+    """Where each %d slot of template sits in the template without its slots."""
+    return np.cumsum([len(piece) for piece in template.split("%d")[:-1]])
+
+
+def _canonical_element(text: str) -> Element | None:
+    """The element if text is element_to_text(u, indent) for indent None or 2, else None.
+
+    Digit check: every run of digits has at most _MAX_DIGITS digits and no
+    leading zero, so it reads exactly into int64. Slot check: there are
+    3 + m(b+1) runs, and each sits in its slot of _layout(b, m, indent).
+    Layout check: the text without its digits is that template without its
+    slots. The text is then the template filled with the runs, which
+    json.loads reads as the same numbers, and the checks element_from_json
+    makes on them follow on arrays. None hands any text that fails one to
+    that route. Temporaries are freed as soon as they are used, to keep
+    the peak near that of the json route.
+    """
+    if not text.isascii():
+        return None
+    data = text.encode("ascii").strip(b" \t\n\r")
+    if data[:1] != b"{" or data[-1:] != b"}":
+        return None  # so that every run of digits starts and ends inside
+    # the last byte before each change between digit and non-digit
+    edges = np.flatnonzero(np.diff(np.frombuffer(data.translate(_DIGIT_FLAGS), dtype=np.int8)))
+    starts, lengths = edges[0::2] + 1, edges[1::2] - edges[0::2]
+    del edges
+    byte = np.frombuffer(data, dtype=np.uint8)
+    zero = ord("0")
+    if len(starts) < 3 or lengths.max() > _MAX_DIGITS:
+        return None
+    if ((byte[starts] == zero) & (lengths > 1)).any():
+        return None
+    nums = byte[starts].astype(np.int64) - zero
+    for j in range(1, int(lengths.max())):  # one pass per digit position
+        live = np.flatnonzero(lengths > j)
+        nums[live] = nums[live] * 10 + byte[starts[live] + j] - zero
+    bare = data.translate(None, _DIGITS)
+    del data, byte
+    p, a, b = nums[:3].tolist()
+    if b < 1:
+        return None
+    try:
+        _require_word_prime(p)
+        size = _require_listable(a + b, b)
+    except ValueError:
+        return None
+    m, extra = divmod(len(nums) - 3, b + 1)
+    if extra:
+        return None
+    template = _layout(b, m, 2 if bare[1:2] == b"\n" else None)
+    head, entry, sep, tail = (t.replace("%d", "").encode() for t in template)
+    # bare == head + sep.join([entry] * m) + tail, compared in place
+    want = len(head) + m * len(entry) + max(m - 1, 0) * len(sep) + len(tail)
+    if not (len(bare) == want and bare.startswith(head)
+            and bare.endswith(entry + tail if m else tail)
+            and bare.startswith((entry + sep) * (m - 1), len(head))):
+        return None
+    del bare
+    at = starts - np.cumsum(lengths)  # where each run sits in the text without digits
+    at += lengths
+    del starts, lengths
+    slots = len(head) + (len(entry) + len(sep)) * np.arange(m)[:, None] + _slot_offsets(template[1])
+    if not (np.array_equal(at[:3], _slot_offsets(template[0]))
+            and np.array_equal(at[3:].reshape(m, b + 1), slots)):
+        return None
+    del at, slots
+    rows = nums[3:].reshape(m, b + 1)
+    if m and rows[:, -1].max() >= p:
+        return None
+    try:
+        idx = _ranks(a + b, b, rows[:, :-1])
+    except ValueError:
+        return None
+    vec = np.zeros(size, dtype=np.int64)
+    vec[idx] = rows[:, -1]
+    return Element._of_residues(a + b, b, p, vec)
+
+
+def element_from_text(text: str) -> Element:
+    """The element of an element JSON text, as element_from_json(json.loads(text)).
+
+    The two layouts element_to_text writes, indent None or 2, are decoded
+    by _canonical_element in one vectorised pass over the bytes, with no
+    per-entry Python work; every other text goes through json.loads and
+    element_from_json. Either way a text gives the same element, or the
+    same error. Nesting too deep for json.loads is refused as a ValueError.
+    """
+    u = _canonical_element(text)
+    if u is not None:
+        return u
+    try:
+        return element_from_json(json.loads(text))
+    except RecursionError:
+        raise ValueError("element JSON is nested too deeply") from None
 
 
 def element_from_json(obj) -> Element:

@@ -155,6 +155,15 @@ def test_verify_bad_file_exits_2(tmp_path, capsys):
     assert rc == 2 and "ascending" in err
 
 
+def test_verify_invalid_utf8_exits_2(tmp_path, capsys):
+    doc = tmp_path / "latin1.json"
+    doc.write_bytes(b'{"p": 3, "a": 2, "b": 1, "entries": [{"set": [1], "coeff": 1}]}\xff\n')
+    with pytest.raises(UnicodeDecodeError) as exc:
+        doc.read_text(encoding="utf-8")
+    rc, out, err = run_cli(capsys, "verify", "--file", str(doc))
+    assert rc == 2 and out == "" and err == f"error: {exc.value}\n"
+
+
 def test_verify_word_size_prime_exits_2(tmp_path, capsys):
     big = 4294967311  # the least prime above 2^32; big^2 overflows int64
     doc = tmp_path / "big.json"
@@ -405,10 +414,19 @@ def test_verify_oversized_element_exits_2(tmp_path):
     assert "C(60, 20)" in r.stderr
 
 
+def test_verify_deep_nesting_exits_2(tmp_path):
+    # json.loads raised an uncaught RecursionError here: a traceback and exit 1
+    doc = tmp_path / "deep.json"
+    doc.write_text("[" * 100000 + "]" * 100000)
+    r = run_capped("verify", "--file", str(doc), timeout=20)
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == "error: element JSON is nested too deeply\n"
+
+
 def test_memory_error_exits_2(monkeypatch, tmp_path, capsys):
-    def exhausted(doc):
+    def exhausted(text):
         raise MemoryError
-    monkeypatch.setattr("spechtdesigns.cli.element_from_json", exhausted)
+    monkeypatch.setattr("spechtdesigns.cli.element_from_text", exhausted)
     doc = tmp_path / "element.json"
     doc.write_text("{}")
     rc, _, err = run_cli(capsys, "verify", "--file", str(doc))

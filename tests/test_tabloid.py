@@ -17,6 +17,7 @@ from spechtdesigns.tabloid import (
     _ranks,
     constant_level_system,
     element_from_json,
+    element_from_text,
     element_to_json,
     element_to_text,
     f_lambda,
@@ -536,6 +537,115 @@ def test_element_to_text_matches_json_dumps():
         for indent in (None, 2):
             assert element_to_text(u, indent) == json.dumps(element_to_json(u), indent=indent)
     assert '"entries": []' in element_to_text(cases[0], 2)
+
+
+def test_element_from_text_round_trip():
+    rng = np.random.default_rng(83)
+    cases = [Element.zero(6, 3, 3), Element.zero(1, 1, 3), Element.ones(1, 1, 5),
+             Element.ones(5, 5, 7), Element.ones(4, 2, 2147483629)]
+    for _ in range(150):
+        n = int(rng.integers(1, 12))
+        b = int(rng.integers(1, n + 1))
+        p = int(rng.choice([3, 5, 7, 2147483629]))
+        size = math.comb(n, b)
+        keep = rng.random(size) < rng.random()  # sparse to full support
+        cases.append(Element(n, b, p, rng.integers(0, p, size) * keep))
+    for u in cases:
+        for indent in (None, 2):
+            text = element_to_text(u, indent)
+            assert tabloid._canonical_element(text + "\n") == u  # decoded in one pass
+            assert element_from_text(text) == u
+
+
+def _decoded(decode, text):
+    """decode(text), or the type and message of what it raised."""
+    try:
+        return decode(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _damaged_texts():
+    u = Element.from_subsets(5, 2, 3, {(1, 2): 1, (1, 3): 2, (2, 5): 1})
+    plain, pretty = element_to_text(u), element_to_text(u, 2)
+    doc = element_to_json(u)
+    zero = element_to_text(Element.zero(6, 1, 3))
+    edits = {  # (old, new) in the plain text
+        "coeff leading zero": ('"coeff": 2', '"coeff": 02'),
+        "member leading zero": ("[1, 3]", "[1, 03]"),
+        "negative coeff": ('"coeff": 2', '"coeff": -1'),
+        "float coeff": ('"coeff": 2', '"coeff": 1.0'),
+        "bool coeff": ('"coeff": 2', '"coeff": true'),
+        "19-digit coeff": ('"coeff": 2', '"coeff": 1000000000000000000'),
+        "2**63 coeff": ('"coeff": 2', f'"coeff": {2**63}'),
+        "2**63 member": ("[1, 3]", f"[1, {2**63}]"),
+        "19-digit modulus": ('"p": 3', '"p": 1000000000000000003'),
+        "coeff = p": ('"coeff": 2', '"coeff": 3'),
+        "zero coeff": ('"coeff": 2', '"coeff": 0'),
+        "duplicate set": ("[1, 3]", "[1, 2]"),
+        "unsorted entries": ("[1, 2]", "[1, 4]"),
+        "unsorted members": ("[1, 3]", "[3, 1]"),
+        "member 0": ("[1, 3]", "[0, 3]"),
+        "member n+1": ("[1, 3]", "[1, 6]"),
+        "a > b swapped": ('"a": 3, "b": 2', '"a": 2, "b": 3'),
+        "b = 0": ('"b": 2', '"b": 0'),
+        "ground too large": ('"a": 3', '"a": 100'),
+        "empty slot": ("[1, 3]", "[, 3]"),
+        "empty slot, run moved into a key": ('"a": 3', '"a3": '),
+        "extra run in a key": ('"coeff": 2', '"coeff7": 2'),
+        "renamed key": ('"coeff": 2', '"coeft": 2'),
+        "braces for brackets": ("[1, 3]", "{1, 3}"),
+        "extra space": ('"b": 2', '"b":  2'),
+        "no space": ('"b": 2', '"b":2'),
+        "tab": ('"b": 2', '"b":\t2'),
+        "composite modulus": ('"p": 3', '"p": 9'),
+        "modulus above 2^31": ('"p": 3', '"p": 2147483659'),
+        "non-ASCII key": ('"a": 3', '"\u00e4": 3'),
+        "escaped key": ('"a": 3', '"\\u0061": 3'),
+    }
+    texts = {name: plain.replace(old, new, 1) for name, (old, new) in edits.items()}
+    texts.update({
+        "plain": plain,
+        "pretty": pretty,
+        "surrounding whitespace": " \n" + pretty + "\r\n\t",
+        "indent 4": json.dumps(doc, indent=4),
+        "indent 1": json.dumps(doc, indent=1),
+        "tab indent": json.dumps(doc, indent="\t"),
+        "pretty without breaks": pretty.replace("\n", " "),
+        "reordered keys": json.dumps({k: doc[k] for k in ("a", "p", "b", "entries")}),
+        "reordered entry keys": plain.replace('"set": [1, 3], "coeff": 2',
+                                              '"coeff": 2, "set": [1, 3]'),
+        "extra key": json.dumps({**doc, "note": 1}),
+        "extra entry key": plain.replace('"coeff": 2', '"coeff": 2, "w": 1'),
+        "missing key": json.dumps({k: doc[k] for k in ("p", "a", "entries")}),
+        "zero element": zero,
+        "run moved into []": zero.replace('"a": 5', '"a": ').replace("[]", "[5]"),
+        "run added to []": zero.replace("[]", "[5]"),
+        "trailing garbage": plain + "x",
+        "trailing comma": plain[:-2] + ",]}",
+        "second document": plain + plain,
+        "truncated": plain[:-7],
+        "truncated pretty": pretty[:len(pretty) // 2],
+        "empty": "",
+        "byte order mark": "\ufeff" + plain,
+        "lone surrogate": plain.replace('"a"', '"\udcff"'),
+        "not an object": "[1, 2, 3]",
+        "number": "7",
+    })
+    return texts
+
+
+@pytest.mark.parametrize("name", sorted(_damaged_texts()))
+def test_element_from_text_matches_json_route(name):
+    # the element, or the exception type and message, of json.loads + element_from_json
+    text = _damaged_texts()[name]
+    want = _decoded(lambda t: element_from_json(json.loads(t)), text)
+    assert _decoded(element_from_text, text) == want
+
+
+def test_element_from_text_refuses_deep_nesting():
+    with pytest.raises(ValueError, match="nested too deeply"):
+        element_from_text("[" * 100000 + "]" * 100000)
 
 
 @settings(max_examples=40)
