@@ -2,14 +2,17 @@
 
 GF(p) matrices hold word-sized residues (p < 2^31) in numpy int64 arrays.
 One blocked forward echelon core serves rank, kernel vectors and affine
-solve: pivots are found per column inside a panel, and the rest of the
-matrix receives the panel's row operations as matrix products. Those
-products run in float64 BLAS only on chunks whose integer dot products are
-proven below 2^53, where float64 is exact, and in int64 otherwise; the
-bound is asserted where the product is taken. So there is no inexact
-arithmetic: float64 never holds a value it cannot represent. Nothing is
-cleared above the pivots: a kernel vector or an affine solution is
-back-substituted, one column, through the echelon rows (_kernel_vector).
+solve: pivots are found per column inside a panel, whose work copy also
+records the row operations as coefficients on the pivot rows, and the rest
+of the matrix receives them as one row permutation and one matrix product.
+That product runs in float64 BLAS only on chunks whose integer dot
+products are proven below 2^53, where float64 is exact, and in int64
+otherwise. Inside the panel, rows go unreduced between updates only while
+proven below 2^63. Each bound is asserted where it is taken, so there is
+no inexact arithmetic: float64 never holds a value it cannot represent,
+and int64 never wraps. Nothing is cleared above the pivots: a kernel
+vector or an affine solution is back-substituted, one column, through the
+echelon rows (_kernel_vector).
 Integer solving works on arbitrary-precision Python ints via a column
 echelon form built from unimodular column operations.
 """
@@ -104,8 +107,9 @@ class MatFp:
         return f"MatFp(shape={self.shape}, p={self.p})"
 
 
-# Columns per elimination panel; 256 measured fastest on the sweep systems.
-_PANEL = 256
+# Columns per elimination panel. On the 113 sweep systems 64 to 192 tie and
+# 256 is slower; 128 is also the fastest at brute_force_h1(7, 7, 3).
+_PANEL = 128
 # Bytes of float64 temporaries per column slab of one modular product.
 _SLAB_BYTES = 2 << 20
 # float64 represents every integer below 2^53 exactly.
@@ -116,6 +120,12 @@ _INT64_MAX = (1 << 63) - 1
 def _float_chunk(p: int) -> int:
     """Longest inner dimension k with k (p-1)^2 + p < 2^53, or 0 if none."""
     return max(0, (_FLOAT_EXACT - 1 - p) // ((p - 1) ** 2))
+
+
+def _lazy(p: int) -> bool:
+    """Whether (_PANEL (p-1)^2 + p) p fits in int64, so that _factor_panel
+    may leave rows unreduced between updates."""
+    return (_PANEL * (p - 1) ** 2 + p) * p <= _INT64_MAX
 
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int, out: np.ndarray | None = None,
@@ -171,12 +181,13 @@ def _eliminate(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return it and the pivot columns. Entries above the pivots stay.
 
     Columns are taken in panels of _PANEL. Inside a panel the pivots are
-    found one at a time as in plain Gaussian elimination, but only the
-    panel's columns are updated; the rest of the rows then receive every
-    row operation of the panel as two matrix products. Pivot choice (the
-    first nonzero row at or below the current one) is the plain one, so
-    the pivots and the reduced matrix are exactly those of per-pivot
-    elimination.
+    found one at a time as in plain Gaussian elimination, on a work copy
+    of the panel that also records each row's operations as coefficients
+    on the pivot rows (_factor_panel). The rest of the rows then receive
+    the whole panel's row operations as one row permutation and one matrix
+    product. Pivot choice (the first nonzero row at or below the current
+    one) is the plain one, so the pivots and the reduced matrix are exactly
+    those of per-pivot elimination.
     """
     rows, cols = m.shape
     pivots: list[int] = []
@@ -185,82 +196,83 @@ def _eliminate(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         if r == rows:
             break
         c1 = min(c0 + _PANEL, cols)
-        pc, inv, f = _factor_panel(m, p, r, c0, c1)
-        if pc and c1 < cols:
-            _update_trailing(m, p, r, f, inv, c1)
+        pc = _factor_panel(m, p, r, c0, c1)
         pivots += [c0 + c for c in pc]
         r += len(pc)
     return m, pivots
 
 
-def _factor_panel(m: np.ndarray, p: int, r0: int, c0: int, c1: int):
-    """Eliminate m[r0:, c0:c1] per pivot.
+def _factor_panel(m: np.ndarray, p: int, r0: int, c0: int, c1: int) -> list[int]:
+    """Eliminate m[r0:, c0:c1] per pivot, apply the same row operations to
+    the columns from c1 on, and return the local pivot columns.
 
-    Returns the local pivot columns, the pivot inverses and the multipliers
-    F, one column per pivot: F[i, j] is what pivot j subtracted from row
-    r0 + i. As in LU, row operations touch only columns right of the
-    pivot, so each multiplier stays below its pivot until it is read out
-    here. Only columns that are nonzero below r0 at the start can hold a
-    pivot.
+    The work array is a copy of the panel with one coefficient column per
+    possible pivot to its right. A row that becomes pivot j gets a 1 in
+    coefficient column j before it is scaled, and each pivot's update runs
+    over the coefficient columns too. So at the end coefficient row i, C[i],
+    writes what became of row i in terms of the k pivot rows as they were
+    before the panel: C[i] itself for a pivot row, row i plus C[i] below
+    them. The trailing columns, untouched so far, are permuted like the
+    rows and receive (C - [I; 0]) times their first k rows in one product.
+    Only columns that are nonzero below r0 at the start can hold a pivot.
+
+    While _lazy(p), rows are not reduced after an update: an entry starts
+    as a residue and takes at most one update per pivot, each below
+    (p-1)^2, and a pivot row is scaled by a residue before it is reduced.
+    The pivot column is reduced before its nonzero search, so the pivot and
+    the multipliers are residues; the rest is reduced once, at the end.
     """
-    panel = m[r0:, c0:c1]
+    w = c1 - c0
+    work = np.zeros((m.shape[0] - r0, 2 * w), dtype=np.int64)
+    work[:, :w] = m[r0:, c0:c1]
+    perm = list(range(work.shape[0]))
+    lazy = _lazy(p)
+    assert not lazy or (w * (p - 1) ** 2 + p) * p <= _INT64_MAX, "int64 overflow in unreduced rows"
     pc: list[int] = []
-    inv: list[int] = []
-    for c in np.flatnonzero(panel.any(axis=0)).tolist():
+    for c in np.flatnonzero(work[:, :w].any(axis=0)).tolist():
         r = len(pc)
-        if r0 + r == m.shape[0]:
+        if r == work.shape[0]:
             break
-        nz = np.flatnonzero(panel[r:, c])
+        col = work[r:, c]
+        if lazy:
+            np.remainder(col, p, out=col)  # on one column, faster than _reduce
+        nz = col.nonzero()[0]
         if nz.size == 0:
             continue
         if nz[0]:
-            pr = r0 + r + int(nz[0])
-            m[[r0 + r, pr], c0:] = m[[pr, r0 + r], c0:]
-        s = pow(int(panel[r, c]), p - 2, p)
-        panel[r, c:] = _reduce(panel[r, c:] * s, p)
+            pr = r + int(nz[0])
+            row = work[r].copy()
+            work[r] = work[pr]
+            work[pr] = row
+            perm[r], perm[pr] = perm[pr], perm[r]
+        end = w + r + 1
+        row = work[r, c:end]
+        row[-1] = 1
+        row *= pow(int(row[0]), p - 2, p)
+        np.remainder(row, p, out=row)
         # the old row r, now at the first nonzero's place, is zero in column c
         tgt = r + nz[1:]
         if tgt.size:
-            panel[tgt, c + 1 :] = _reduce(panel[tgt, c + 1 :] - np.outer(panel[tgt, c], panel[r, c + 1 :]), p)
+            upd = col[nz[1:], None] * row
+            if lazy:
+                work[tgt, c:end] -= upd
+            else:
+                work[tgt, c:end] = _reduce(work[tgt, c:end] - upd, p)
         pc.append(c)
-        inv.append(s)
-    f = panel[:, pc]
-    # echelon form: zero below each pivot
-    panel[: len(pc), pc] = np.triu(f[: len(pc)])
-    panel[len(pc) :, pc] = 0
-    return pc, inv, f
-
-
-def _update_trailing(m: np.ndarray, p: int, r0: int, f: np.ndarray, inv: list[int], c1: int) -> None:
-    """Apply a factored panel's row operations to the columns from c1 on.
-
-    With S the pivot inverses and F the multipliers (F_low among the k
-    pivot rows, F_bot below them), the pivot rows become
-    U = (I + S F_low)^-1 S T_top and the rows below T_bot - F_bot U.
-    The k x k matrix is built by replaying the panel on the identity.
-    """
-    k = len(inv)
-    x = np.eye(k, dtype=np.int64)
-    for j in range(k):
-        x[j, : j + 1] = _reduce(x[j, : j + 1] * inv[j], p)
-        tgt = j + 1 + np.flatnonzero(f[j + 1 : k, j])
-        if tgt.size:
-            x[tgt, : j + 1] = _reduce(x[tgt, : j + 1] - np.outer(f[tgt, j], x[j, : j + 1]), p)
-    # X T = T + (X - I) T keeps the product in place; X - I is still a
-    # residue matrix, since its diagonal holds the inverses minus one
-    top = m[r0 : r0 + k, c1:]
-    _matmul_mod(x - np.eye(k, dtype=np.int64), top, p, out=top)
-    _subtract_rows(m, p, r0 + k, f[k:], top, c1)
-
-
-def _subtract_rows(m: np.ndarray, p: int, r0: int, g: np.ndarray, block: np.ndarray, c: int) -> None:
-    """m[r0 + i, c:] -= g[i] @ block mod p, skipping the rows where g is zero."""
-    live = np.flatnonzero(g.any(axis=1))
-    if live.size:
-        neg = g[live]
-        np.subtract(p, neg, out=neg)
-        neg[neg == p] = 0
-        _matmul_mod(neg, block, p, out=m[:, c:], rows=r0 + live)
+    k = len(pc)
+    if lazy:
+        _reduce(work[:, : w + k], p)
+    m[r0:, c0:c1] = work[:, :w]
+    if k and c1 < m.shape[1]:
+        perm = np.array(perm)
+        moved = np.flatnonzero(perm != np.arange(perm.size))
+        m[r0 + moved, c1:] = m[r0 + perm[moved], c1:]
+        coef = work[:, w : w + k]
+        # C[j, j] is the inverse of pivot j, so C - [I; 0] is still a residue matrix
+        coef[np.arange(k), np.arange(k)] -= 1
+        live = np.flatnonzero(coef.any(axis=1))
+        _matmul_mod(coef[live], m[r0 : r0 + k, c1:], p, out=m[:, c1:], rows=r0 + live)
+    return pc
 
 
 def rank_fp(a: MatFp) -> int:

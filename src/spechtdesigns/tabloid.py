@@ -507,11 +507,12 @@ def element_to_text(u: Element, indent: int | None = None) -> str:
 _DIGITS = b"0123456789"
 _DIGIT_FLAGS = bytes(c in _DIGITS for c in range(256))  # bytes.translate: digits to 1, else 0
 _MAX_DIGITS = 18  # every run of at most 18 digits is exact in int64
+_INT32_MAX = (1 << 31) - 1
 
 
 def _slot_offsets(template: str) -> np.ndarray:
     """Where each %d slot of template sits in the template without its slots."""
-    return np.cumsum([len(piece) for piece in template.split("%d")[:-1]])
+    return np.cumsum([len(piece) for piece in template.split("%d")[:-1]], dtype=np.int32)
 
 
 def _canonical_element(text: str) -> Element | None:
@@ -524,22 +525,27 @@ def _canonical_element(text: str) -> Element | None:
     slots. The text is then the template filled with the runs, which
     json.loads reads as the same numbers, and the checks element_from_json
     makes on them follow on arrays. None hands any text that fails one to
-    that route. Temporaries are freed as soon as they are used, to keep
-    the peak near that of the json route.
+    that route. Temporaries are freed as soon as they are used, and byte
+    positions are held in int32 and run lengths (checked first) in int8,
+    to keep the peak below that of the json route.
     """
     if not text.isascii():
         return None
     data = text.encode("ascii").strip(b" \t\n\r")
     if data[:1] != b"{" or data[-1:] != b"}":
         return None  # so that every run of digits starts and ends inside
+    if len(data) > _INT32_MAX:
+        return None  # so that every position fits the int32 arrays below
     # the last byte before each change between digit and non-digit
     edges = np.flatnonzero(np.diff(np.frombuffer(data.translate(_DIGIT_FLAGS), dtype=np.int8)))
-    starts, lengths = edges[0::2] + 1, edges[1::2] - edges[0::2]
+    lengths = edges[1::2] - edges[0::2]
+    if len(lengths) < 3 or lengths.max() > _MAX_DIGITS:
+        return None
+    lengths = lengths.astype(np.int8)
+    starts = edges[0::2].astype(np.int32) + 1
     del edges
     byte = np.frombuffer(data, dtype=np.uint8)
     zero = ord("0")
-    if len(starts) < 3 or lengths.max() > _MAX_DIGITS:
-        return None
     if ((byte[starts] == zero) & (lengths > 1)).any():
         return None
     nums = byte[starts].astype(np.int64) - zero
@@ -568,10 +574,11 @@ def _canonical_element(text: str) -> Element | None:
             and bare.startswith((entry + sep) * (m - 1), len(head))):
         return None
     del bare
-    at = starts - np.cumsum(lengths)  # where each run sits in the text without digits
+    at = starts - np.cumsum(lengths, dtype=np.int32)  # where each run sits in the text without digits
     at += lengths
     del starts, lengths
-    slots = len(head) + (len(entry) + len(sep)) * np.arange(m)[:, None] + _slot_offsets(template[1])
+    slots = (len(head) + (len(entry) + len(sep)) * np.arange(m, dtype=np.int32)[:, None]
+             + _slot_offsets(template[1]))
     if not (np.array_equal(at[:3], _slot_offsets(template[0]))
             and np.array_equal(at[3:].reshape(m, b + 1), slots)):
         return None

@@ -15,6 +15,16 @@ from spechtdesigns import linalg
 from spechtdesigns.linalg import MatFp
 
 
+def _subtract_rows(m: np.ndarray, p: int, g: np.ndarray, block: np.ndarray, c: int) -> None:
+    """m[i, c:] -= g[i] @ block mod p, skipping the rows where g is zero."""
+    live = np.flatnonzero(g.any(axis=1))
+    if live.size:
+        neg = g[live]
+        np.subtract(p, neg, out=neg)
+        neg[neg == p] = 0
+        linalg._matmul_mod(neg, block, p, out=m[:, c:], rows=live)
+
+
 def blocked_rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Row reduce m in place to RREF; return it and the pivot columns.
 
@@ -36,7 +46,7 @@ def blocked_rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
                 y[tgt, j:] = linalg._reduce(y[tgt, j:] - np.outer(a[tgt, j], y[j, j:]), p)
         block = m[j0 : j0 + k, c:]
         linalg._matmul_mod(y - np.eye(k, dtype=np.int64), block, p, out=block)
-        linalg._subtract_rows(m, p, 0, m[:j0, pc], block, c)
+        _subtract_rows(m, p, m[:j0, pc], block, c)
     return m, pivots
 
 

@@ -178,8 +178,9 @@ def test_pruned_dims_match_full_system():
 
 def test_brute_force_holds_one_copy_of_its_system():
     # the peak is the system's one array plus the elimination's own panel
-    # temporaries, measured first on an array built before tracing began;
-    # a second copy of the system would add a whole system's bytes
+    # temporaries, measured first on an array built before tracing began:
+    # 8.8 MB, 0.41 times the 21.6 MB system, mostly the rows x 2*_PANEL
+    # work array; a second copy of the system would add a whole system's bytes
     n, b, p = 13, 6, 3
     system = constant_level_system(n, b, tabloid._kept_levels(b, p))
     system %= p

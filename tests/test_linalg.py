@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linalg_reference import blocked_rref, canonical_solution, kernel_basis
-from spechtdesigns import designs, linalg
+from spechtdesigns import designs, linalg, numtheory
 from spechtdesigns.designs import DesignParams, find_t_design_fp
 from spechtdesigns.hemmer import construct_james
 from spechtdesigns.linalg import MatFp, MatZ, rank_fp, solve_integer
@@ -27,6 +27,9 @@ def brute_solutions(a: np.ndarray, rhs: np.ndarray, p: int) -> set[tuple[int, ..
 # 2147483629, the second largest prime below 2^31, takes the int64 product
 # route; the others take float64.
 WORD_PRIMES = (3, 5, 7, 65521, 4194301, 2147483629)
+# The largest prime whose panel rows go unreduced between updates at
+# _PANEL = 128, and the next prime, whose rows are reduced after each.
+LAZY_EDGE = (416107, 416147)
 
 
 def reference_eliminate(m: np.ndarray, p: int, full: bool) -> tuple[np.ndarray, list[int]]:
@@ -104,6 +107,17 @@ def test_float_bound_is_asserted(monkeypatch):
         linalg._matmul_mod(np.ones((1, 2), dtype=np.int64), np.ones((2, 1), dtype=np.int64), p)
 
 
+def test_lazy_bound_is_asserted(monkeypatch):
+    lo, hi = LAZY_EDGE
+    assert [q for q in range(lo, hi + 1) if numtheory._is_prime(q)] == [lo, hi]
+    assert linalg._lazy(lo) and not linalg._lazy(hi)
+    # the bound without its factor p would admit 4194301, whose scaled rows wrap
+    assert not linalg._lazy(4194301)
+    monkeypatch.setattr(linalg, "_lazy", lambda p: True)
+    with pytest.raises(AssertionError):
+        linalg._eliminate(np.ones((2, 2), dtype=np.int64), 2147483629)
+
+
 def random_cases(rng, p, panel):
     """Matrices around the panel width: dense, sparse, low rank, zero blocks."""
     for _ in range(12):
@@ -121,7 +135,7 @@ def random_cases(rng, p, panel):
 
 
 @pytest.mark.parametrize("panel", [4, linalg._PANEL])
-@pytest.mark.parametrize("p", WORD_PRIMES)
+@pytest.mark.parametrize("p", WORD_PRIMES + LAZY_EDGE)
 def test_eliminate_matches_reference(monkeypatch, p, panel):
     monkeypatch.setattr(linalg, "_PANEL", panel)
     rng = np.random.default_rng(panel * 7 + p % 1000)

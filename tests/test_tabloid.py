@@ -577,6 +577,8 @@ def _damaged_texts():
         "float coeff": ('"coeff": 2', '"coeff": 1.0'),
         "bool coeff": ('"coeff": 2', '"coeff": true'),
         "19-digit coeff": ('"coeff": 2', '"coeff": 1000000000000000000'),
+        # 257 digits read as 1 in int8; the last run's length moves no slot
+        "257-digit last coeff": ('"coeff": 1}]', '"coeff": ' + "1" * 257 + "}]"),
         "2**63 coeff": ('"coeff": 2', f'"coeff": {2**63}'),
         "2**63 member": ("[1, 3]", f"[1, {2**63}]"),
         "19-digit modulus": ('"p": 3', '"p": 1000000000000000003'),
@@ -641,6 +643,15 @@ def test_element_from_text_matches_json_route(name):
     text = _damaged_texts()[name]
     want = _decoded(lambda t: element_from_json(json.loads(t)), text)
     assert _decoded(element_from_text, text) == want
+
+
+def test_element_from_text_hands_longer_texts_to_json(monkeypatch):
+    # the decoder holds byte positions in int32; a longer text takes the json route
+    u = Element.from_subsets(5, 2, 3, {(1, 2): 1, (2, 5): 1})
+    text = element_to_text(u)
+    monkeypatch.setattr(tabloid, "_INT32_MAX", len(text) - 1)
+    assert tabloid._canonical_element(text) is None
+    assert element_from_text(text) == u
 
 
 def test_element_from_text_refuses_deep_nesting():
