@@ -134,7 +134,9 @@ def random_cases(rng, p, panel):
     yield np.zeros((7, panel + 1), dtype=np.int64)
 
 
-@pytest.mark.parametrize("panel", [4, linalg._PANEL])
+# 256 was the default width before 128; it still takes the lazy route for
+# fewer primes, so both widths stay covered.
+@pytest.mark.parametrize("panel", sorted({4, linalg._PANEL, 256}))
 @pytest.mark.parametrize("p", WORD_PRIMES + LAZY_EDGE)
 def test_eliminate_matches_reference(monkeypatch, p, panel):
     monkeypatch.setattr(linalg, "_PANEL", panel)
