@@ -17,11 +17,9 @@ from itertools import combinations
 import numpy as np
 
 from .linalg import (
-    MatFp,
     MatZ,
     _require_word_prime,
     _solve_augmented,
-    rank_fp,
     solve_integer,
 )
 from .numtheory import (
@@ -61,7 +59,6 @@ __all__ = [
     "null_design_generator",
     "level_design_exists",
     "poset_X",
-    "constant_space_dim",
 ]
 
 
@@ -399,10 +396,3 @@ def poset_X(a: int, b: int, p: int) -> PosetX:
         tuple(sorted(g)) for g in sorted(groups.values(), key=min)
     )
     return PosetX(a, b, p, tuple(members), components)
-
-
-def constant_space_dim(n: int, b: int, p: int, levels) -> int:
-    """Dimension of {u : psi_v(u) constant for all v in levels}."""
-    require_odd_prime(p)
-    system = MatFp(constant_level_system(n, b, levels), p)
-    return system.shape[1] - rank_fp(system)

@@ -5,6 +5,9 @@ The library never clears above its pivots. Here the forward echelon form
 from linalg._eliminate is reduced block by block, which is an independent
 back-substitution: the tests hold the library's kernel vectors and affine
 solutions against the canonical ones read off this RREF.
+
+constant_space_dim is the reference the level-pruning tests hold the
+kept-level systems against: the copying rank of a whole level system.
 """
 
 from __future__ import annotations
@@ -12,7 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from spechtdesigns import linalg
-from spechtdesigns.linalg import MatFp
+from spechtdesigns.linalg import MatFp, rank_fp
+from spechtdesigns.tabloid import constant_level_system
 
 
 def _subtract_rows(m: np.ndarray, p: int, g: np.ndarray, block: np.ndarray, c: int) -> None:
@@ -78,3 +82,9 @@ def canonical_solution(aug: np.ndarray, p: int) -> np.ndarray | None:
     x = np.zeros(cols, dtype=np.int64)
     x[pivots] = m[: len(pivots), cols]
     return x
+
+
+def constant_space_dim(n: int, b: int, p: int, levels) -> int:
+    """Dimension over GF(p) of {u : psi_v(u) constant for all v in levels}."""
+    system = MatFp(constant_level_system(n, b, levels), p)
+    return system.shape[1] - rank_fp(system)

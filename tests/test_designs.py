@@ -10,7 +10,6 @@ from spechtdesigns.designs import (
     IntegerDesign,
     Spectrum,
     coefficient_transfer,
-    constant_space_dim,
     constant_value,
     construct_integral_design,
     find_t_design_fp,
@@ -24,7 +23,7 @@ from spechtdesigns.designs import (
     spectrum,
     wilson_exists,
 )
-from linalg_reference import kernel_basis
+from linalg_reference import constant_space_dim, kernel_basis
 from spechtdesigns.linalg import MatFp, rank_fp
 from spechtdesigns.numtheory import binom_mod_p, p_adic_length
 from spechtdesigns.tabloid import (

@@ -6,8 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from linalg_reference import constant_space_dim
 from spechtdesigns import h1, linalg, tabloid
-from spechtdesigns.designs import constant_space_dim
 from spechtdesigns.h1 import (
     H1Report,
     brute_force_h1,

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 from itertools import combinations
@@ -87,6 +88,25 @@ def test_subsets_colex_keeps_only_requested_listings():
     subsets_colex(21, 10)
     subsets_colex(20, 9)
     assert subsets_colex.cache_info().currsize == 2
+
+
+def test_subsets_colex_starts_from_the_row_above(monkeypatch):
+    # listing(n, k) = listing(n-1, k) ++ (listing(n-1, k-1) | 2^(n-1)), read
+    # from the live listings when both are there, and equal to a cold build
+    subsets_colex.cache_clear()
+    cold = subsets_colex(14, 6).tolist()
+    subsets_colex.cache_clear()
+    assert (14, 6) not in tabloid._LISTED  # the registry keeps nothing alive
+    subsets_colex(13, 6)
+    subsets_colex(13, 5)
+    assert subsets_colex(14, 6).tolist() == cold == gosper_colex(14, 6)
+    subsets_colex.cache_clear()
+    monkeypatch.setattr(tabloid, "_LISTED", {(13, 6): np.array([1]), (13, 5): np.array([2])})
+    try:
+        assert subsets_colex(14, 6).tolist() == [1, 2 | 1 << 13]
+        assert subsets_colex(14, 7).tolist() == gosper_colex(14, 7)  # (13, 7) is not there
+    finally:
+        subsets_colex.cache_clear()
 
 
 def test_mask_round_trip_examples():
@@ -293,6 +313,50 @@ def test_drop_once_matches_reference():
                 want = reference_drop(n, k, w)
                 assert got.dtype == w.dtype
                 assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("block", [1, 5])
+def test_drop_once_splits_down_to_every_leaf(monkeypatch, block):
+    # with blocks this small every shape splits down to its leaves: among
+    # them the j = m blocks, whose without-m part is empty, and j = 1
+    monkeypatch.setattr(tabloid, "_DROP_BLOCK", block)
+    leaves = set()
+    split = tabloid._drop_into
+
+    def record(out, w, mk, m, j, at, to, plans):
+        if math.comb(m, j) <= block:
+            leaves.add((m, j))
+        split(out, w, mk, m, j, at, to, plans)
+
+    monkeypatch.setattr(tabloid, "_drop_into", record)
+    test_drop_once_matches_reference()
+    assert {(m, m) for m in range(1, 11)} | {(block, 1)} <= leaves
+
+
+def test_drop_once_above_the_block_matches_reference():
+    rng = np.random.default_rng(59)
+    n, k = 15, 7
+    assert math.comb(n, k) > tabloid._DROP_BLOCK
+    small = rng.integers(-10**6, 10**6, size=math.comb(n, k))
+    big = np.array([(-1) ** i * (2**64 + int(x)) for i, x in enumerate(small)], dtype=object)
+    for w in (small, big):
+        got = tabloid._drop_once(n, k, w)
+        assert got.dtype == w.dtype
+        assert got.tolist() == reference_drop(n, k, w).tolist()
+
+
+def test_drop_once_leaves_no_reference_cycles():
+    # a cycle would hold each call's plans and output until the collector runs
+    n, k = 15, 7
+    w = np.random.default_rng(61).integers(0, 3, size=math.comb(n, k))
+    gc.collect()
+    gc.disable()
+    try:
+        tabloid._drop_once(n, k, w)
+        psi_levels(n, k, w)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_psi_reduces_mod_p():
