@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
 from .linalg import (
     MatZ,
+    _require_ints,
     _require_word_prime,
     _solve_augmented,
     solve_integer,
@@ -316,8 +317,9 @@ def null_design_generator(g: int, b: int, t: int, pairs, fixed=()) -> IntegerDes
     x_i or y_i from every pair; the sign is the parity of the number of
     y picks. Every level <= t then sums to zero.
     """
-    ps = [(int(x), int(y)) for x, y in pairs]
-    fx = tuple(int(z) for z in fixed)
+    ps = [(x, y) for x, y in pairs]
+    fx = tuple(fixed)
+    _require_ints(chain(chain.from_iterable(ps), fx), "points")
     if len(ps) != t + 1:
         raise ValueError(f"need {t + 1} pairs, got {len(ps)}")
     if len(fx) != b - t - 1:

@@ -5,20 +5,23 @@ A tabloid of shape (n-b, b) is determined by its second row, a b-subset of
 colexicographic order, which on fixed-size subsets coincides with numeric
 order of the masks. Vectors of coefficients are indexed by that order.
 
-The block index works on whole arrays. subsets_colex builds each listing
-by the Pascal recursion: the k-subsets of [n] without n, then those with
-n, listing(n, k) = listing(n-1, k) ++ (listing(n-1, k-1) | 2^(n-1))
-(Knuth, TAOCP 4A, 7.2.1.3), one row of the triangle at a time, or from
-the row above alone when both its listings are still held; only the
-listings asked for are kept. _ranks maps an (m, k) array of member rows
-to colex indices and is the one place that validates members; _members
-maps indices back to member rows. element_to_json is the element's JSON
-form as a dict; element_to_text writes the same document as text, equal
-byte for byte to json.dumps of the dict, from one (m, b+1) array of
-members and coefficients filled into one template. _layout holds that
-template, and element_from_text inverts it: it checks a text against the
-template and reads its digit runs into one int64 array, and hands any
-other text to json.loads and element_from_json.
+The block index works on whole arrays, and it has one rank and one
+unrank. _rank gives the colex index of ascending members c_1 < ... < c_r
+by the combinatorial number system, sum C(c_i - 1, i) (Knuth, TAOCP 4A,
+7.2.1.3), read from the constant table _BINOM, so no lookup needs a
+listing or a search; _ranks is the one place that validates member rows
+before they are ranked. _members maps indices back to member rows from
+the masks of subsets_colex, which builds each listing by the Pascal
+recursion: the k-subsets of [n] without n, then those with n,
+listing(n, k) = listing(n-1, k) ++ (listing(n-1, k-1) | 2^(n-1)), one
+row of the triangle at a time; only the listings asked for are kept.
+element_to_json is the element's JSON form as a dict; element_to_text
+writes the same document as text, equal byte for byte to json.dumps of
+the dict, from one (m, b+1) array of members and coefficients filled into
+one template. _layout holds that template, and element_from_text inverts
+it: it checks a text against the template and reads its digit runs into
+one int64 array, and hands any other text to json.loads and
+element_from_json.
 
 psi_v sends a b-subset to the formal sum of its v-subsets. Its matrix is
 the 0/1 inclusion matrix W_{v,b} of v-subsets into b-subsets. One walk
@@ -28,13 +31,14 @@ exact division by b-k+1 turns psi_k into psi_(k-1). A step splits on the
 same Pascal recursion as the listings: the k-subsets with the top point m
 drop it onto the (k-1)-subsets without m, one slice added to another, and
 both halves split again, until a block of at most _DROP_BLOCK subsets is
-finished by one np.add.at, on int64 and Python-int entries alike.
+finished by one np.add.at, on int64 and Python-int entries alike. A
+block lists the j-subsets of [m], so its plan depends on (m, j) alone.
 
 Every linear question about the level maps is asked of one matrix, the
 stacked system [W_{v,b} | -E] over the requested levels v, with one
 scalar column per level (R. M. Wilson, Europ. J. Combin. 11, 1990). This
 module owns its layout, and constant_level_system is its one builder;
-inclusion_matrix and the solvers take views of its columns. Over GF(p)
+the solvers take views of its columns. Over GF(p)
 most levels of that system are implied by the others through the
 composition identity; _kept_levels names the ones that are not.
 """
@@ -43,7 +47,6 @@ from __future__ import annotations
 
 import json
 import math
-import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
@@ -51,7 +54,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .linalg import MatFp, MatZ, _eliminate, _int64_array, _require_ints, _require_word_prime
+from .linalg import _eliminate, _int64_array, _require_ints, _require_word_prime
 from .numtheory import all_binoms_divisible, require_odd_prime
 
 __all__ = [
@@ -63,7 +66,6 @@ __all__ = [
     "psi_int",
     "psi_levels",
     "constant_level_system",
-    "inclusion_matrix",
     "specht_membership",
     "specht_dim",
     "james_check",
@@ -110,8 +112,7 @@ class Partition2(object):
     b: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.a, int) and isinstance(self.b, int)):
-            raise ValueError("partition parts must be ints")
+        _require_ints((self.a, self.b), "partition parts")
         if not self.a >= self.b >= 1:
             raise ValueError(f"need a >= b >= 1, got ({self.a}, {self.b})")
 
@@ -120,22 +121,12 @@ class Partition2(object):
         return self.a + self.b
 
 
-# Every listing subsets_colex has built and that is still alive, so that a
-# new listing can start from the row above it; it keeps none alive itself.
-_LISTED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-
 @lru_cache(maxsize=None)
 def subsets_colex(n: int, k: int) -> np.ndarray:
     """All k-subset masks of [n] in colex (= numeric) order, read-only."""
     _require_listable(n, k)
     row = {0: np.zeros(1, dtype=np.int64)}  # row m maps j to listing(m, j)
-    first = 1
-    if 0 < k < n:  # from listing(n-1, k) and listing(n-1, k-1) when both are at hand
-        without_n, with_n = _LISTED.get((n - 1, k)), _LISTED.get((n - 1, k - 1))
-        if without_n is not None and with_n is not None:
-            row, first = {k: without_n, k - 1: with_n}, n
-    for m in range(first, n + 1):
+    for m in range(1, n + 1):
         nxt = {}
         # only the j that can still reach listing(n, k)
         for j in range(max(0, k - n + m), min(k, m) + 1):
@@ -146,15 +137,28 @@ def subsets_colex(n: int, k: int) -> np.ndarray:
         row = nxt
     arr = row[k]
     arr.setflags(write=False)
-    _LISTED[n, k] = arr
     return arr
+
+
+# _BINOM[c, i] = C(c, i) for every point c of a mask; C(61, 30) < 2^58.
+_BINOM = np.array([[math.comb(c, i) for i in range(_MAX_GROUND + 1)]
+                   for c in range(_MAX_GROUND)], dtype=np.int64)
+
+
+def _rank(rows: np.ndarray) -> np.ndarray:
+    """Colex indices of ascending member rows c_1 < ... < c_r in [1, 62].
+
+    The combinatorial number system: the index is sum C(c_i - 1, i).
+    """
+    return _BINOM[rows - 1, np.arange(1, rows.shape[1] + 1)].sum(axis=1)
 
 
 def _ranks(n: int, k: int, sets) -> np.ndarray:
     """Colex indices of the k-subsets of [n] given as m rows of members.
 
     Refuses rows that are not k ints in [1, n], not strictly ascending, or
-    repeated; the first offending row is named.
+    repeated, naming the first offending row, and C(n, k) past
+    _require_listable. The rows are ranked by _rank, with no listing.
     """
     try:
         s = np.asarray(sets, dtype=np.int64).reshape(len(sets), k)
@@ -167,10 +171,8 @@ def _ranks(n: int, k: int, sets) -> np.ndarray:
 
     refuse(((s < 1) | (s > n)).any(axis=1), f"has a member outside [1, {n}]")
     refuse((s[:, 1:] <= s[:, :-1]).any(axis=1), "must be strictly ascending")
-    masks = np.zeros(len(s), dtype=np.int64)
-    for col in s.T:  # one column at a time keeps temporaries to m entries
-        masks |= np.int64(1) << (col - 1)
-    idx = np.searchsorted(subsets_colex(n, k), masks)
+    _require_listable(n, k)
+    idx = _rank(s)
     first = np.zeros(len(idx), dtype=bool)
     first[np.unique(idx, return_index=True)[1]] = True
     refuse(~first, "is repeated")
@@ -178,13 +180,16 @@ def _ranks(n: int, k: int, sets) -> np.ndarray:
 
 
 def _members(n: int, k: int, idx: np.ndarray) -> np.ndarray:
-    """The (m, k) ascending member rows of the colex indices idx."""
+    """The (m, k) ascending member rows of the colex indices idx.
+
+    Each row's lowest set bit is peeled off its listing mask; that bit is a
+    power of two below 2^62, exact in float64, so np.frexp reads its place.
+    """
     masks = subsets_colex(n, k)[idx]
-    bits = np.int64(1) << np.arange(n, dtype=np.int64)
     out = np.empty((len(masks), k), dtype=np.int64)
-    for j in range(k):  # peel off the lowest set bit
+    for j in range(k):
         low = masks & -masks
-        out[:, j] = np.searchsorted(bits, low) + 1
+        out[:, j] = np.frexp(low)[1]  # 2^(c-1) = 0.5 * 2^c
         masks ^= low
     return out
 
@@ -306,9 +311,6 @@ def f_lambda(a: int, b: int, p: int) -> Element:
 # and 0.84-0.85 of their time; 256 was slower on all three, and 2048 and
 # 4096 took 0.41-0.50 and 0.64-0.90 on the two large walks.
 _DROP_BLOCK = 512
-# _BINOM[c, i] = C(c, i) for every point c of a mask; C(61, 30) < 2^58.
-_BINOM = np.array([[math.comb(c, i) for i in range(_MAX_GROUND + 1)]
-                   for c in range(_MAX_GROUND)], dtype=np.int64)
 
 
 def _drop_once(n: int, k: int, w: np.ndarray) -> np.ndarray:
@@ -320,18 +322,21 @@ def _drop_once(n: int, k: int, w: np.ndarray) -> np.ndarray:
     subsets, and finishes a block with one np.add.at along its plan.
     """
     out = np.zeros(math.comb(n, k - 1), dtype=w.dtype)
-    _drop_into(out, w, subsets_colex(n, k), n, k, 0, 0, {})
+    _drop_into(out, w, n, k, 0, 0, {})
     return out
 
 
-def _drop_into(out: np.ndarray, w: np.ndarray, mk: np.ndarray,
-               m: int, j: int, at: int, to: int, plans: dict) -> None:
-    """out[to:] += D_{m,j} w[at:], one block of the step on mk's listing.
+def _drop_into(out: np.ndarray, w: np.ndarray, m: int, j: int, at: int, to: int,
+               plans: dict) -> None:
+    """out[to:] += D_{m,j} w[at:], one block of the step.
 
-    w[at:] starts a run of C(m, j) entries of mk's listing whose points
-    above m are the same, so their low m bits list the j-subsets of [m];
-    out[to:] starts the matching run of C(m, j-1) entries. plans maps a
-    block shape (m, j) to its (dst, src) pairs, built once per call.
+    w[at:] starts a run of C(m, j) subsets whose points above m are the
+    same, so their points up to m list the j-subsets of [m] in colex order;
+    out[to:] starts the matching run of C(m, j-1) entries. A block's plan
+    depends on its shape (m, j) alone: its (dst, src) pairs send each
+    j-subset of [m], from _members, to the _rank of each of its
+    (j-1)-subsets, read off the terms of its own _rank sum. plans holds
+    them, built once per shape and call.
     """
     size = math.comb(m, j)
     if size > _DROP_BLOCK:
@@ -339,20 +344,18 @@ def _drop_into(out: np.ndarray, w: np.ndarray, mk: np.ndarray,
         below = math.comb(m - 1, j - 1)  # out splits the same way
         out[to : to + below] += w[at + without : at + size]
         if without:
-            _drop_into(out, w, mk, m - 1, j, at, to, plans)
+            _drop_into(out, w, m - 1, j, at, to, plans)
         if j > 1:
-            _drop_into(out, w, mk, m - 1, j - 1, at + without, to + below, plans)
+            _drop_into(out, w, m - 1, j - 1, at + without, to + below, plans)
         return
     plan = plans.get((m, j))
     if plan is None:
-        # the members of each subset, ascending; the colex rank of a set
-        # c_1 < ... < c_r of 0-based points is sum C(c_i, i), so deleting
-        # its t-th member keeps the terms below t and lowers the index of
-        # each term above t by one
-        held = (mk[at : at + size, None] & (np.int64(1) << np.arange(m))) != 0
-        members = (np.flatnonzero(held) % m).reshape(size, j).T  # row t: each t-th member
+        # row t: each subset's t-th point, 0-based; deleting it from the
+        # _rank sum keeps the terms below t and lowers the index of each
+        # term above t by one
+        pts = _members(m, j, np.arange(size)).T - 1
         t = np.arange(j)[:, None]
-        keep, lower = _BINOM[members, t + 1], _BINOM[members, t]
+        keep, lower = _BINOM[pts, t + 1], _BINOM[pts, t]
         dst = np.cumsum(keep, axis=0) - keep + lower.sum(axis=0) - np.cumsum(lower, axis=0)
         plan = plans[(m, j)] = dst.ravel(), np.arange(size * j) % size
     dst, src = plan
@@ -364,11 +367,16 @@ def psi_levels(n: int, b: int, vec, v: int = 0) -> list[np.ndarray]:
 
     Entry k - v of the returned list is psi_k(vec); the last entry is vec
     itself. Entries are Python ints (object dtype) when the int64 bound
-    would not hold.
+    would not hold. vec must hold ints or numpy integers: floats and bools
+    are refused, and ints past int64 are read as Python ints.
     """
     if not 0 <= v <= b:
         raise ValueError(f"need 0 <= v <= b, got v={v}, b={b}")
     w = np.asarray(vec)
+    if w.dtype.kind not in "iu" or not isinstance(vec, np.ndarray):
+        # item by item: numpy reads True as 1 and ints past int64 as floats
+        w = np.asarray(vec, dtype=object)
+        _require_ints(w.flat, "coefficients")
     if w.shape != (math.comb(n, b),):
         raise ValueError("coefficient vector has the wrong length")
     # exact on Python ints: np.abs would wrap at the int64 minimum
@@ -414,8 +422,8 @@ def constant_level_system(n: int, b: int, levels) -> np.ndarray:
 
     Refuses more than _MAX_CELLS cells, then allocates the array once and
     writes each block in place: every v-combination of member positions
-    is one scatter, over all b-subsets at once, of the v-subset at those
-    positions.
+    is one scatter, over all b-subsets at once, to the _rank of the
+    v-subset at those positions.
     """
     lv = list(levels)
     ncols = _require_listable(n, b)
@@ -427,13 +435,11 @@ def constant_level_system(n: int, b: int, levels) -> np.ndarray:
     out = np.zeros((rows, width), dtype=np.int64)
     flat = out.reshape(-1)
     cols = np.arange(ncols)
-    bits = np.int64(1) << (_members(n, b, cols) - 1)  # one column per member position
+    rows = _members(n, b, cols)
     top = 0
     for k, (v, height) in enumerate(zip(lv, heights)):
-        masks = subsets_colex(n, v)
         for pos in combinations(range(b), v):
-            sub = np.bitwise_or.reduce(bits[:, list(pos)], axis=1)
-            flat[(top + np.searchsorted(masks, sub)) * width + cols] = 1
+            flat[(top + _rank(rows[:, list(pos)])) * width + cols] = 1
         out[top : top + height, ncols + k] = -1
         top += height
     return out
@@ -456,19 +462,6 @@ def _kept_levels(b: int, p: int) -> list[int]:
     return kept[::-1]
 
 
-def inclusion_matrix(n: int, i: int, b: int, p: int | None = None) -> MatFp | MatZ:
-    """Inclusion matrix W_{i,b} of i-subsets into b-subsets of [n]; mod p when given.
-
-    It is the element columns of constant_level_system(n, b, [i]).
-    """
-    if not 0 <= i <= b <= n <= _MAX_GROUND:
-        raise ValueError(f"need 0 <= i <= b <= n <= {_MAX_GROUND}")
-    arr = constant_level_system(n, b, [i])[:, :-1]
-    if p is None:
-        return MatZ.from_numpy(arr)
-    return MatFp(arr, p)
-
-
 def specht_membership(u: Element) -> bool:
     """Whether psi_v(u) = 0 mod p for every level v = 0..b-1."""
     return not any((w % u.p).any() for w in psi_levels(u.n, u.b, u.vec)[:-1])
@@ -489,7 +482,9 @@ def specht_dim(a: int, b: int, p: int) -> int:
 
 
 def _check_partition(parts) -> tuple[int, ...]:
-    ps = tuple(int(x) for x in parts)
+    ps = tuple(parts)
+    _require_ints(ps, "partition parts")
+    ps = tuple(map(int, ps))
     if not ps or any(x < 1 for x in ps):
         raise ValueError(f"partition parts must be positive, got {ps}")
     if any(ps[i] < ps[i + 1] for i in range(len(ps) - 1)):

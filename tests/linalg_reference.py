@@ -8,6 +8,8 @@ solutions against the canonical ones read off this RREF.
 
 constant_space_dim is the reference the level-pruning tests hold the
 kept-level systems against: the copying rank of a whole level system.
+inclusion_matrix wraps one block of that system, W_{i,b}, as a matrix
+type for the tests that multiply by it.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from spechtdesigns import linalg
-from spechtdesigns.linalg import MatFp, rank_fp
-from spechtdesigns.tabloid import constant_level_system
+from spechtdesigns.linalg import MatFp, MatZ, rank_fp
+from spechtdesigns.tabloid import _MAX_GROUND, constant_level_system
 
 
 def _subtract_rows(m: np.ndarray, p: int, g: np.ndarray, block: np.ndarray, c: int) -> None:
@@ -88,3 +90,16 @@ def constant_space_dim(n: int, b: int, p: int, levels) -> int:
     """Dimension over GF(p) of {u : psi_v(u) constant for all v in levels}."""
     system = MatFp(constant_level_system(n, b, levels), p)
     return system.shape[1] - rank_fp(system)
+
+
+def inclusion_matrix(n: int, i: int, b: int, p: int | None = None) -> MatFp | MatZ:
+    """Inclusion matrix W_{i,b} of i-subsets into b-subsets of [n]; mod p when given.
+
+    It is the element columns of constant_level_system(n, b, [i]).
+    """
+    if not 0 <= i <= b <= n <= _MAX_GROUND:
+        raise ValueError(f"need 0 <= i <= b <= n <= {_MAX_GROUND}")
+    arr = constant_level_system(n, b, [i])[:, :-1]
+    if p is None:
+        return MatZ.from_numpy(arr)
+    return MatFp(arr, p)

@@ -27,7 +27,7 @@ from spechtdesigns.hemmer import (
     decompose_pointed,
     verify_hemmer,
 )
-from linalg_reference import kernel_basis
+from linalg_reference import inclusion_matrix, kernel_basis
 from spechtdesigns.linalg import MatFp, rank_fp
 from spechtdesigns.numtheory import (
     all_binoms_divisible,
@@ -40,7 +40,6 @@ from spechtdesigns.tabloid import (
     Element,
     constant_level_system,
     f_lambda,
-    inclusion_matrix,
     psi,
 )
 

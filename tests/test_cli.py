@@ -284,7 +284,8 @@ def test_package_exports_every_layer_name():
     for m in layers:
         for name in m.__all__:
             assert getattr(spechtdesigns, name) is getattr(m, name)
-    for gone in ("kernel_basis_fp", "solve_affine_fp", "rank_fp_prefix"):
+    for gone in ("kernel_basis_fp", "solve_affine_fp", "rank_fp_prefix",
+                 "inclusion_matrix"):
         assert gone not in names and not hasattr(spechtdesigns, gone)
 
 

@@ -23,14 +23,13 @@ from spechtdesigns.designs import (
     spectrum,
     wilson_exists,
 )
-from linalg_reference import constant_space_dim, kernel_basis
+from linalg_reference import constant_space_dim, inclusion_matrix, kernel_basis
 from spechtdesigns.linalg import MatFp, rank_fp
 from spechtdesigns.numtheory import binom_mod_p, p_adic_length
 from spechtdesigns.tabloid import (
     Element,
     constant_level_system,
     f_lambda,
-    inclusion_matrix,
     psi,
     specht_membership,
 )
@@ -291,6 +290,10 @@ def test_null_generator_strength_and_validation():
         null_design_generator(6, 3, 1, [(1, 2), (3, 4)], (5, 6))  # fixed size
     with pytest.raises(ValueError):
         null_design_generator(6, 3, 1, [(1, 2), (3, 7)], (5,))  # out of range
+    for pairs, fixed in (([(1.9, 2), (3, 4)], (5,)), ([(True, 2), (3, 4)], (5,)),
+                         ([(1, 2), (3, 4)], (5.0,))):
+        with pytest.raises(ValueError, match="must be ints"):  # 1.9 is not point 1
+            null_design_generator(6, 3, 1, pairs, fixed)
 
 
 def test_null_generator_matches_block_loop():

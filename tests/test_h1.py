@@ -48,6 +48,8 @@ def test_classify_validation():
         classify(2, 3, 3)
     with pytest.raises(ValueError):
         classify(3, 3, 4)
+    with pytest.raises(ValueError, match="must be ints"):
+        classify(True, True, 3)
 
 
 def test_classify_json():

@@ -1,3 +1,4 @@
+import json
 import math
 from itertools import combinations
 
@@ -29,6 +30,9 @@ from spechtdesigns.numtheory import p_adic_length, p_adic_val
 from spechtdesigns.tabloid import (
     Element,
     constant_level_system,
+    element_from_text,
+    element_to_json,
+    element_to_text,
     f_lambda,
     specht_membership,
     subsets_colex,
@@ -204,6 +208,15 @@ def test_level_walk_and_adjoin_need_no_binary_search(monkeypatch):
     assert len(spectrum(u).levels) == 5
     assert adjoin(u, [2, 7]).b == 7
     assert verify_hemmer(construct_pointed(9, 9, 3)).is_hemmer
+    # every other subset index: the level system, both decoder routes, and
+    # the members <-> rank pair behind Element
+    system = constant_level_system(10, 5, range(5))
+    assert (system[:, :-5].sum(axis=0) == 2**5 - 1).all()  # C(5, 0) + ... + C(5, 4)
+    assert element_from_text(element_to_text(u)) == u
+    assert element_from_text(json.dumps(element_to_json(u), indent=4)) == u
+    w = Element.from_subsets(10, 5, 3, {(9, 1, 7, 4, 5): 2, (2, 3, 6, 8, 10): 1})
+    assert w.coeff([1, 4, 5, 7, 9]) == 2 and w.coeff([2, 3, 6, 8, 10]) == 1
+    assert list(w.support()) == [((1, 4, 5, 7, 9), 2), ((2, 3, 6, 8, 10), 1)]
 
 
 @pytest.mark.parametrize("a,b,p", [

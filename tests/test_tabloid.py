@@ -5,9 +5,10 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from linalg_reference import inclusion_matrix
 from spechtdesigns import tabloid
 from spechtdesigns.linalg import MatFp, MatZ, rank_fp
 from spechtdesigns.tabloid import (
@@ -23,7 +24,6 @@ from spechtdesigns.tabloid import (
     element_to_text,
     f_lambda,
     h0_dim,
-    inclusion_matrix,
     james_check,
     psi,
     psi_int,
@@ -39,7 +39,7 @@ BIG_PRIME = 10007  # rank over GF(q) certifies rank over Q from below
 def test_partition2_validation():
     assert Partition2(3, 3).n == 6
     assert Partition2(5, 1).n == 6
-    for a, b in [(2, 3), (3, 0), (0, 0), (-1, 1)]:
+    for a, b in [(2, 3), (3, 0), (0, 0), (-1, 1), (True, True)]:
         with pytest.raises(ValueError):
             Partition2(a, b)
 
@@ -90,25 +90,6 @@ def test_subsets_colex_keeps_only_requested_listings():
     assert subsets_colex.cache_info().currsize == 2
 
 
-def test_subsets_colex_starts_from_the_row_above(monkeypatch):
-    # listing(n, k) = listing(n-1, k) ++ (listing(n-1, k-1) | 2^(n-1)), read
-    # from the live listings when both are there, and equal to a cold build
-    subsets_colex.cache_clear()
-    cold = subsets_colex(14, 6).tolist()
-    subsets_colex.cache_clear()
-    assert (14, 6) not in tabloid._LISTED  # the registry keeps nothing alive
-    subsets_colex(13, 6)
-    subsets_colex(13, 5)
-    assert subsets_colex(14, 6).tolist() == cold == gosper_colex(14, 6)
-    subsets_colex.cache_clear()
-    monkeypatch.setattr(tabloid, "_LISTED", {(13, 6): np.array([1]), (13, 5): np.array([2])})
-    try:
-        assert subsets_colex(14, 6).tolist() == [1, 2 | 1 << 13]
-        assert subsets_colex(14, 7).tolist() == gosper_colex(14, 7)  # (13, 7) is not there
-    finally:
-        subsets_colex.cache_clear()
-
-
 def test_mask_round_trip_examples():
     idx = _ranks(6, 3, [[2, 4, 5]])
     assert int(subsets_colex(6, 3)[idx[0]]) == 0b011010
@@ -130,9 +111,13 @@ def test_mask_round_trip_examples():
             _ranks(6, 3, bad)
 
 
-@given(st.integers(min_value=1, max_value=14), st.data())
-def test_colex_rank_enumerates_in_order(n, data):
-    k = data.draw(st.integers(min_value=0, max_value=n))
+@given(st.integers(min_value=1, max_value=14).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(min_value=0, max_value=n))))
+@example((62, 1))  # the ground's edge: members up to 62, bit 61 of a mask
+@example((62, 2))
+@example((30, 3))
+def test_colex_rank_enumerates_in_order(shape):
+    n, k = shape
     arr = subsets_colex(n, k)
     idx = np.arange(len(arr))
     rows = _members(n, k, idx)
@@ -284,6 +269,14 @@ def test_psi_int_object_dtype_path():
     assert psi_int(6, 3, [2 * 10**17] * 20, 0).tolist() == [4 * 10**18]
 
 
+def test_psi_int_refuses_floats_and_bools():
+    # numpy reads this list as float64, which would round 2^63 + 5
+    assert psi_int(3, 1, [2**63 + 5, 0, 0], 0).tolist() == [2**63 + 5]
+    for vec in ([1.5, 2.5, 0.5], [True, False, True], [True, 2, 3], np.array([1.0, 2.0, 3.0])):
+        with pytest.raises(ValueError, match="must be ints"):
+            psi_int(3, 1, vec, 0)
+
+
 def reference_drop(n: int, k: int, w: np.ndarray) -> np.ndarray:
     """The delete-one-element step by binary search: each k-subset minus one
     point is looked up in the (k-1)-listing and scattered there."""
@@ -323,10 +316,10 @@ def test_drop_once_splits_down_to_every_leaf(monkeypatch, block):
     leaves = set()
     split = tabloid._drop_into
 
-    def record(out, w, mk, m, j, at, to, plans):
+    def record(out, w, m, j, at, to, plans):
         if math.comb(m, j) <= block:
             leaves.add((m, j))
-        split(out, w, mk, m, j, at, to, plans)
+        split(out, w, m, j, at, to, plans)
 
     monkeypatch.setattr(tabloid, "_drop_into", record)
     test_drop_once_matches_reference()
@@ -507,6 +500,8 @@ def test_james_check_multipart():
         james_check((3, 4), 3)
     with pytest.raises(ValueError):
         james_check((), 3)
+    with pytest.raises(ValueError, match="must be ints"):
+        h0_dim((5.2, 2), 3)  # not read as (5, 2)
 
 
 def test_element_json_round_trip():
