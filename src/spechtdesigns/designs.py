@@ -16,14 +16,9 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .linalg import (
-    MatZ,
-    _require_ints,
-    _require_word_prime,
-    _solve_augmented,
-    solve_integer,
-)
+from .linalg import MatZ, _require_word_prime, _solve_augmented, solve_integer
 from .numtheory import (
+    _require_ints,
     binom_mod_p,
     binom_val_p,
     digits_base_p,
@@ -74,6 +69,7 @@ class DesignParams:
 
     def __post_init__(self) -> None:
         require_odd_prime(self.p)
+        _require_ints((self.g, self.b, self.t), "design parameters")
         if not 0 <= self.t < self.b <= self.g:
             raise ValueError(
                 f"need 0 <= t < b <= g, got t={self.t}, b={self.b}, g={self.g}"
@@ -189,6 +185,7 @@ def level_design_exists(a: int, b: int, p: int, l: int) -> bool:
     vanishes mod p, so existence does depend on digit l of a.
     """
     require_odd_prime(p)
+    _require_ints((a, b, l), "shape and digit position")
     if not 0 <= l <= p_adic_length(b, p):
         raise ValueError(f"need 0 <= l <= l_p(b), got l={l}, b={b}")
     return digits_base_p(a, p).digit(l) != p - 1 or b < p ** (l + 1)
@@ -201,6 +198,7 @@ def wilson_exists(g: int, b: int, t: int, p: int) -> bool:
     C(b-i, t-i) it also divides C(g-i, t-i).
     """
     require_odd_prime(p)
+    _require_ints((g, b, t), "design parameters")
     if not 0 <= t < b <= g - t:
         raise ValueError(f"need 0 <= t < b <= g - t, got g={g}, b={b}, t={t}")
     return all(
@@ -220,6 +218,7 @@ def _solve_levels_fp(g: int, b: int, p: int, targets: dict[int, int]) -> Element
     reduction: W is 0/1 and each rhs entry is a target mod p.
     """
     _require_word_prime(p)
+    _require_ints(targets.values(), "level targets")
     system = constant_level_system(g, b, targets)
     ncols = system.shape[1] - len(targets)
     mu = np.array([m % p for m in targets.values()], dtype=np.int64)
@@ -239,8 +238,10 @@ def find_t_design_fp(params: DesignParams, target: int) -> Element | None:
 
 
 def _level_constants(g: int, b: int, t: int, mu) -> list[int]:
-    """mu_0..mu_t as ints, after checking their count and 0 <= t < b <= g."""
-    mus = [int(x) for x in mu]
+    """mu_0..mu_t as ints, after checking them, their count and 0 <= t < b <= g."""
+    mus = list(mu)
+    _require_ints(mus, "level constants")
+    mus = [int(x) for x in mus]
     if len(mus) != t + 1:
         raise ValueError(f"need {t + 1} level constants mu_0..mu_{t}, got {len(mus)}")
     if not 0 <= t < b <= g:

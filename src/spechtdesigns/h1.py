@@ -18,7 +18,7 @@ import io
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .linalg import _eliminate, _require_word_prime
+from .linalg import _require_word_prime
 from .numtheory import (
     all_binoms_divisible_by_digits,
     p_adic_length,
@@ -27,9 +27,8 @@ from .numtheory import (
 )
 from .tabloid import (
     Partition2,
-    _kept_levels,
+    _kept_echelon,
     _require_columns,
-    constant_level_system,
     f_lambda,
     james_check,
     specht_membership,
@@ -136,9 +135,9 @@ def brute_force_h1(a: int, b: int, p: int, budget: int = 4000) -> H1Report:
     D = {u : psi_v(u) constant for v = 0..b-1} contains both the kernel
     of all levels (dim_S) and the all-ones element f. The quotient is
     dim D - dim_S minus one more when f itself is outside the kernel.
-    Both ranks come from a single in-place elimination of the augmented
-    system: its pivots among the first C(n, b) columns give the kernel
-    rank. The system holds only the levels in _kept_levels(b, p):
+    Both ranks come from the one in-place elimination of _kept_echelon:
+    its pivots among the first C(n, b) columns give the kernel rank. The
+    system holds only the levels in _kept_levels(b, p):
     constancy (or vanishing) there forces it at every level, so both
     dimensions equal the full system's.
 
@@ -148,11 +147,7 @@ def brute_force_h1(a: int, b: int, p: int, budget: int = 4000) -> H1Report:
     _require_word_prime(p)
     n = a + b
     ncols = _require_columns(n, b, budget)
-    system = constant_level_system(n, b, _kept_levels(b, p))
-    # the one copy: its -1 scalar entries are reduced and it is
-    # eliminated in place
-    system[:, ncols:] %= p
-    _, pivots = _eliminate(system, p)
+    system, pivots = _kept_echelon(n, b, p)
     dim_D = system.shape[1] - len(pivots)
     dim_S = ncols - bisect_left(pivots, ncols)
     f_in_S = specht_membership(f_lambda(a, b, p))

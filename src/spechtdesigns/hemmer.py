@@ -25,15 +25,15 @@ from .designs import (
     spectrum,
 )
 from .h1 import classify
-from .linalg import _eliminate, _kernel_vector, _require_ints, _require_word_prime
-from .numtheory import binom_mod_p, p_adic_length, p_adic_val, require_odd_prime
+from .linalg import _kernel_vector, _require_word_prime
+from .numtheory import _require_ints, binom_mod_p, p_adic_length, p_adic_val, require_odd_prime
 from .tabloid import (
     Element,
     Partition2,
+    _kept_echelon,
     _kept_levels,
     _require_columns,
     _require_listable,
-    constant_level_system,
     f_lambda,
     subsets_colex,
 )
@@ -299,13 +299,10 @@ def find_hemmer_by_solver(a: int, b: int, p: int, budget: int = 4000) -> Element
     _require_word_prime(p)
     n = a + b
     ncols = _require_columns(n, b, budget)
-    kept = _kept_levels(b, p)
-    m = constant_level_system(n, b, kept)
-    m[:, ncols:] %= p  # the -1 scalar entries; the element columns are 0/1
-    _, pivots = _eliminate(m, p)
+    m, pivots = _kept_echelon(n, b, p)
     e = bisect_left(pivots, ncols)  # pivot rows from e on pivot on scalar columns
     sf = _f_spectrum(a, b, p).levels
-    sf_kept = Spectrum(p, tuple(sf[v] for v in kept))
+    sf_kept = Spectrum(p, tuple(sf[v] for v in _kept_levels(b, p)))
     for g in range(ncols, m.shape[1]):
         if g in pivots[e:]:
             continue

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .numtheory import require_odd_prime
+from .numtheory import _require_ints, require_odd_prime
 
 __all__ = [
     "MatFp",
@@ -39,14 +39,6 @@ def _require_word_prime(p: int) -> int:
     if isinstance(p, int) and p >= 1 << 31:
         raise ValueError(f"modulus {p} is too large for int64 residues; need p < 2^31")
     return require_odd_prime(p)
-
-
-def _require_ints(xs, what: str) -> None:
-    """Refuse, naming the first, any item that is not an int or a numpy
-    integer; bools, ints to Python, are refused too."""
-    for x in xs:
-        if not isinstance(x, (int, np.integer)) or isinstance(x, bool):
-            raise ValueError(f"{what} must be ints, got {x!r}")
 
 
 def _int64_array(x, what: str) -> np.ndarray:

@@ -2,13 +2,17 @@
 
 Everything in this module is plain exact integer arithmetic. The binomial
 residue and valuation functions work digit by digit, so they stay cheap even
-when the binomial itself would have thousands of digits.
+when the binomial itself would have thousands of digits. Every argument must
+be an int or a numpy integer: floats and bools are refused by _require_ints,
+the one int check of the package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 __all__ = [
     "Digits",
@@ -60,6 +64,14 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _require_ints(xs, what: str) -> None:
+    """Refuse, naming the first, any item that is not an int or a numpy
+    integer; bools, ints to Python, are refused too."""
+    for x in xs:
+        if not isinstance(x, (int, np.integer)) or isinstance(x, bool):
+            raise ValueError(f"{what} must be ints, got {x!r}")
+
+
 def require_odd_prime(p: int) -> int:
     """Validate an odd prime modulus p >= 3 and return it."""
     if not isinstance(p, int) or isinstance(p, bool):
@@ -82,6 +94,7 @@ class Digits:
     digits: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        _require_ints((self.value, self.base, *self.digits), "digit fields")
         if self.digits and self.digits[-1] == 0:
             raise ValueError("digit tuple has a trailing zero")
         if any(not 0 <= d < self.base for d in self.digits):
@@ -100,6 +113,7 @@ class Digits:
 def digits_base_p(a: int, p: int) -> Digits:
     """Base-p expansion of a >= 0, least significant digit first."""
     require_odd_prime(p)
+    _require_ints((a,), "digit expansion input")
     if a < 0:
         raise ValueError(f"expected a nonnegative integer, got {a}")
     ds = []
@@ -113,6 +127,7 @@ def digits_base_p(a: int, p: int) -> Digits:
 def p_adic_val(a: int, p: int) -> int:
     """Largest e with p^e dividing a, for a >= 1."""
     require_odd_prime(p)
+    _require_ints((a,), "valuation input")
     if a < 1:
         raise ValueError(f"valuation needs a positive integer, got {a}")
     e = 0
@@ -136,6 +151,7 @@ def binom_mod_p(m: int, k: int, p: int) -> int:
     Returns 0 for k outside [0, m], matching the usual convention.
     """
     require_odd_prime(p)
+    _require_ints((m, k), "binomial arguments")
     if m < 0:
         raise ValueError(f"expected a nonnegative top argument, got {m}")
     if k < 0 or k > m:
@@ -159,6 +175,7 @@ def binom_mod_p(m: int, k: int, p: int) -> int:
 def binom_val_p(m: int, k: int, p: int) -> int:
     """p-adic valuation of C(m, k) by Kummer: carries when adding k + (m-k)."""
     require_odd_prime(p)
+    _require_ints((m, k), "binomial arguments")
     if not 0 <= k <= m:
         raise ValueError(f"need 0 <= k <= m, got k={k}, m={m}")
     carries = 0
@@ -180,6 +197,7 @@ def all_binoms_divisible(a: int, b: int, p: int) -> bool:
     use the O(log b) digit form below; the tests cross-check the two.
     """
     require_odd_prime(p)
+    _require_ints((a, b), "shape arguments")
     if a < 0 or b < 0:
         raise ValueError(f"need nonnegative a, b; got a={a}, b={b}")
     return all(binom_mod_p(a + j, j, p) == 0 for j in range(1, b + 1))
@@ -188,6 +206,7 @@ def all_binoms_divisible(a: int, b: int, p: int) -> bool:
 def all_binoms_divisible_by_digits(a: int, b: int, p: int) -> bool:
     """Digit criterion for the same family: a = -1 mod p^(l_p(b)+1), b >= 1."""
     require_odd_prime(p)
+    _require_ints((a, b), "shape arguments")
     if a < 0 or b < 1:
         raise ValueError(f"need a >= 0 and b >= 1; got a={a}, b={b}")
     return (a + 1) % p ** (p_adic_length(b, p) + 1) == 0

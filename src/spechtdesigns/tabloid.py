@@ -32,7 +32,9 @@ same Pascal recursion as the listings: the k-subsets with the top point m
 drop it onto the (k-1)-subsets without m, one slice added to another, and
 both halves split again, until a block of at most _DROP_BLOCK subsets is
 finished by one np.add.at, on int64 and Python-int entries alike. A
-block lists the j-subsets of [m], so its plan depends on (m, j) alone.
+block lists the j-subsets of [m], so its plan depends on (m, j) alone:
+_drop_plan builds its (dst, src) pairs by the same split, once per shape,
+and the walk ranks, unranks and lists no subset.
 
 Every linear question about the level maps is asked of one matrix, the
 stacked system [W_{v,b} | -E] over the requested levels v, with one
@@ -47,6 +49,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
@@ -54,8 +57,8 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .linalg import _eliminate, _int64_array, _require_ints, _require_word_prime
-from .numtheory import all_binoms_divisible, require_odd_prime
+from .linalg import _eliminate, _int64_array, _require_word_prime
+from .numtheory import _require_ints, all_binoms_divisible, require_odd_prime
 
 __all__ = [
     "Partition2",
@@ -282,6 +285,7 @@ class Element:
         return Element(self.n, self.b, self.p, self.vec - other.vec)
 
     def __rmul__(self, scalar: int) -> "Element":
+        _require_ints((scalar,), "scalars")
         return Element(self.n, self.b, self.p, self.vec * (int(scalar) % self.p))
 
     def __neg__(self) -> "Element":
@@ -305,11 +309,11 @@ def f_lambda(a: int, b: int, p: int) -> Element:
     return Element.ones(lam.n, b, p)
 
 
-# Most k-subsets in one block of the drop step. Timed against the masked
-# adds it replaced (numpy 2.4.6, one thread of a 2-core host), on the walks
-# psi_levels (21, 10), (20, 9) and all n <= 13: 512 took 0.38-0.39, 0.48-0.52
-# and 0.84-0.85 of their time; 256 was slower on all three, and 2048 and
-# 4096 took 0.41-0.50 and 0.64-0.90 on the two large walks.
+# Most k-subsets in one block of the drop step. Timed on the walks
+# psi_levels (21, 10), (20, 9) and all n <= 13 (numpy 2.4.6, one thread of
+# a 2-core host): 256 was slower on the two large walks, and 1024-4096 were
+# within noise of 512 on all three. The plans of every block shape up to
+# 512 subsets take 4.0 MiB; up to 1024 they would take 11 and up to 4096, 48.
 _DROP_BLOCK = 512
 
 
@@ -319,24 +323,46 @@ def _drop_once(n: int, k: int, w: np.ndarray) -> np.ndarray:
     The colex listing of the k-subsets of [m] is those without m, then
     those with m, so D_{m,k} (w0, w1) = (D_{m-1,k} w0 + w1, D_{m-1,k-1} w1).
     _drop_into splits on that until a block holds at most _DROP_BLOCK
-    subsets, and finishes a block with one np.add.at along its plan.
+    subsets, and finishes a block with one np.add.at along _drop_plan.
     """
     out = np.zeros(math.comb(n, k - 1), dtype=w.dtype)
-    _drop_into(out, w, n, k, 0, 0, {})
+    _drop_into(out, w, n, k, 0, 0)
     return out
 
 
-def _drop_into(out: np.ndarray, w: np.ndarray, m: int, j: int, at: int, to: int,
-               plans: dict) -> None:
+@lru_cache(maxsize=None)
+def _drop_plan(m: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (dst, src) pairs of D_{m,j}, as two read-only arrays.
+
+    The same split as _drop_into: the pairs of D_{m-1,j}, then each
+    subset with m sent to its own entry of the run below, then the pairs
+    of D_{m-1,j-1} shifted past both halves. The pairs depend on (m, j)
+    alone, so each shape is built once per process (see _DROP_BLOCK for
+    what the cache holds).
+    """
+    if not 0 < j <= m:
+        dst = src = np.zeros(0, dtype=np.int64)
+    else:
+        without = math.comb(m - 1, j)
+        below = math.comb(m - 1, j - 1)
+        dst0, src0 = _drop_plan(m - 1, j)
+        dst1, src1 = _drop_plan(m - 1, j - 1)
+        own = np.arange(below)
+        dst = np.concatenate([dst0, own, dst1 + below])
+        src = np.concatenate([src0, own + without, src1 + without])
+    dst.setflags(write=False)
+    src.setflags(write=False)
+    return dst, src
+
+
+def _drop_into(out: np.ndarray, w: np.ndarray, m: int, j: int, at: int, to: int) -> None:
     """out[to:] += D_{m,j} w[at:], one block of the step.
 
     w[at:] starts a run of C(m, j) subsets whose points above m are the
     same, so their points up to m list the j-subsets of [m] in colex order;
-    out[to:] starts the matching run of C(m, j-1) entries. A block's plan
-    depends on its shape (m, j) alone: its (dst, src) pairs send each
-    j-subset of [m], from _members, to the _rank of each of its
-    (j-1)-subsets, read off the terms of its own _rank sum. plans holds
-    them, built once per shape and call.
+    out[to:] starts the matching run of C(m, j-1) entries. A block of at
+    most _DROP_BLOCK subsets is finished along _drop_plan(m, j), built by
+    this same split.
     """
     size = math.comb(m, j)
     if size > _DROP_BLOCK:
@@ -344,21 +370,11 @@ def _drop_into(out: np.ndarray, w: np.ndarray, m: int, j: int, at: int, to: int,
         below = math.comb(m - 1, j - 1)  # out splits the same way
         out[to : to + below] += w[at + without : at + size]
         if without:
-            _drop_into(out, w, m - 1, j, at, to, plans)
+            _drop_into(out, w, m - 1, j, at, to)
         if j > 1:
-            _drop_into(out, w, m - 1, j - 1, at + without, to + below, plans)
+            _drop_into(out, w, m - 1, j - 1, at + without, to + below)
         return
-    plan = plans.get((m, j))
-    if plan is None:
-        # row t: each subset's t-th point, 0-based; deleting it from the
-        # _rank sum keeps the terms below t and lowers the index of each
-        # term above t by one
-        pts = _members(m, j, np.arange(size)).T - 1
-        t = np.arange(j)[:, None]
-        keep, lower = _BINOM[pts, t + 1], _BINOM[pts, t]
-        dst = np.cumsum(keep, axis=0) - keep + lower.sum(axis=0) - np.cumsum(lower, axis=0)
-        plan = plans[(m, j)] = dst.ravel(), np.arange(size * j) % size
-    dst, src = plan
+    dst, src = _drop_plan(m, j)
     np.add.at(out[to : to + math.comb(m, j - 1)], dst, w[at : at + size][src])
 
 
@@ -462,6 +478,19 @@ def _kept_levels(b: int, p: int) -> list[int]:
     return kept[::-1]
 
 
+def _kept_echelon(n: int, b: int, p: int) -> tuple[np.ndarray, list[int]]:
+    """The level system on _kept_levels(b, p), eliminated in place, and its pivots.
+
+    The 0/1 element columns are already residues and only the -1 scalar
+    entries are reduced, so constant_level_system's array is the one copy.
+    Panels run left to right, so the pivots among the first C(n, b)
+    columns are those of the element columns alone.
+    """
+    system = constant_level_system(n, b, _kept_levels(b, p))
+    system[:, math.comb(n, b):] %= p
+    return _eliminate(system, p)
+
+
 def specht_membership(u: Element) -> bool:
     """Whether psi_v(u) = 0 mod p for every level v = 0..b-1."""
     return not any((w % u.p).any() for w in psi_levels(u.n, u.b, u.vec)[:-1])
@@ -471,14 +500,13 @@ def specht_dim(a: int, b: int, p: int) -> int:
     """Dimension over GF(p) of the joint kernel of psi_0..psi_(b-1).
 
     Only the levels in _kept_levels(b, p) are eliminated; they imply the
-    rest. The system's 0/1 element columns are already residues, so they
-    are eliminated in place, with no copy.
+    rest. The kernel rank is the count of element-column pivots of
+    _kept_echelon.
     """
     lam = Partition2(a, b)
     _require_word_prime(p)
     ncols = math.comb(lam.n, b)
-    system = constant_level_system(lam.n, b, _kept_levels(b, p))
-    return ncols - len(_eliminate(system[:, :ncols], p)[1])
+    return ncols - bisect_left(_kept_echelon(lam.n, b, p)[1], ncols)
 
 
 def _check_partition(parts) -> tuple[int, ...]:

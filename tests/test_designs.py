@@ -68,7 +68,8 @@ def all_pods(g: int, b: int, t: int):
 
 def test_design_params_validation():
     DesignParams(6, 3, 2, 3)
-    for g, b, t, p in [(6, 3, 3, 3), (6, 7, 1, 3), (6, 0, 0, 3), (6, 3, 1, 4)]:
+    for g, b, t, p in [(6, 3, 3, 3), (6, 7, 1, 3), (6, 0, 0, 3), (6, 3, 1, 4),
+                       (6, 3, True, 3), (6.0, 3, 1, 3)]:
         with pytest.raises(ValueError):
             DesignParams(g, b, t, p)
 
@@ -193,6 +194,8 @@ def test_wilson_examples():
         wilson_exists(5, 4, 2, 3)  # violates b <= g - t
     with pytest.raises(ValueError):
         wilson_exists(6, 3, 3, 3)
+    with pytest.raises(ValueError, match="must be ints"):
+        wilson_exists(6.5, 3, 1, 3)  # was True
 
 
 def test_find_t_design_verifies():
@@ -202,6 +205,8 @@ def test_find_t_design_verifies():
     assert find_t_design_fp(DesignParams(5, 3, 2, 3), 1) is None
     z = find_t_design_fp(DesignParams(5, 3, 2, 3), 0)
     assert z is not None and z.is_zero()
+    with pytest.raises(ValueError, match="must be ints"):
+        find_t_design_fp(DesignParams(6, 3, 1, 3), 1.5)  # solved for target 1
 
 
 def test_level_design_exists_examples():
@@ -212,6 +217,8 @@ def test_level_design_exists_examples():
     assert not level_design_exists(8, 3, 3, 0)
     with pytest.raises(ValueError):
         level_design_exists(3, 3, 3, 2)
+    with pytest.raises(ValueError, match="must be ints"):
+        level_design_exists(5.5, 3, 3, 0)  # was True
 
 
 def test_level_design_exists_matches_search_small():
@@ -234,6 +241,8 @@ def test_integral_design_exists_examples():
     assert integral_design_exists(5, 3, 0, (7,))
     with pytest.raises(ValueError):
         integral_design_exists(4, 2, 1, (6,))
+    with pytest.raises(ValueError, match="must be ints"):
+        integral_design_exists(4, 2, 1, [2.9, 1])  # answered for (2, 1)
 
 
 def test_construct_integral_design_examples():
@@ -248,6 +257,8 @@ def test_construct_integral_design_examples():
     d = construct_integral_design(11, 3, 2, (55, 15, 3))
     assert d is not None
     assert set(d.hat_values(2)) == {3}
+    with pytest.raises(ValueError, match="must be ints"):
+        construct_integral_design(4, 2, 1, [6.5, 3])  # built a design for (6, 3)
 
 
 def test_integer_design_reduce_mod():

@@ -206,7 +206,6 @@ def test_brute_force_requests_kept_levels(monkeypatch):
         requested.append(list(levels))
         return constant_level_system(n, b, levels)
 
-    monkeypatch.setattr(h1, "constant_level_system", record)
     monkeypatch.setattr(tabloid, "constant_level_system", record)
     brute_force_h1(7, 6, 3)
     specht_dim(7, 6, 3)

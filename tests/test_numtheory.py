@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -93,6 +94,11 @@ def test_digits_validation():
         Digits(value=3, base=3, digits=(0, 1, 0))  # trailing zero
     with pytest.raises(ValueError):
         Digits(value=5, base=3, digits=(2, 3))  # digit out of range
+    # each was computed on floats before: (0.5, 0.0, 1.0) encodes 9.5
+    with pytest.raises(ValueError, match="must be ints"):
+        digits_base_p(9.5, 3)
+    with pytest.raises(ValueError, match="must be ints"):
+        Digits(value=9.5, base=3, digits=(0.5, 0.0, 1.0))
 
 
 @given(st.integers(min_value=0, max_value=10**9), st.sampled_from(PRIMES))
@@ -110,6 +116,11 @@ def test_p_adic_val_and_length():
     assert p_adic_length(10, 3) == 2
     with pytest.raises(ValueError):
         p_adic_val(0, 3)
+    for bad in (9.0, True):  # 9.0 had valuation 2
+        with pytest.raises(ValueError, match="must be ints"):
+            p_adic_val(bad, 3)
+        with pytest.raises(ValueError, match="must be ints"):
+            p_adic_length(bad, 3)
 
 
 def test_binom_mod_p_examples():
@@ -119,6 +130,12 @@ def test_binom_mod_p_examples():
     assert binom_mod_p(5, 7, 3) == 0  # out of range
     assert binom_mod_p(5, -1, 3) == 0
     assert binom_mod_p(0, 0, 3) == 1
+    assert binom_mod_p(np.int64(5), np.int8(2), 3) == 1
+    for m, k in ((5.5, 2), (5, 2.0), (True, 1)):  # (5.5, 2) gave 1.5
+        with pytest.raises(ValueError, match="must be ints"):
+            binom_mod_p(m, k, 3)
+        with pytest.raises(ValueError, match="must be ints"):
+            binom_val_p(m, k, 3)
 
 
 @settings(max_examples=300)
@@ -183,3 +200,7 @@ def test_divisibility_edge_cases():
         all_binoms_divisible_by_digits(5, 0, 3)
     with pytest.raises(ValueError):
         all_binoms_divisible(-1, 2, 3)
+    with pytest.raises(ValueError, match="must be ints"):
+        all_binoms_divisible(8, 2.0, 3)
+    with pytest.raises(ValueError, match="must be ints"):
+        all_binoms_divisible_by_digits(8.0, 1, 3)

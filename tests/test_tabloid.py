@@ -179,6 +179,11 @@ def test_subsets_and_coefficients_must_be_ints():
     for members in ([2.7], [True], [np.float64(2)]):
         with pytest.raises(ValueError, match="must be ints"):
             u.coeff(members)
+    f = f_lambda(3, 2, 3)
+    for scalar in (2.5, True, np.float64(2)):  # 2.5 * f gave 2 * f, True * f gave f
+        with pytest.raises(ValueError, match="must be ints"):
+            scalar * f
+    assert (np.int64(2) * f).vec.tolist() == [2] * 10
     v = Element.from_subsets(4, 2, 3, {(np.int64(1), 2): np.int8(5), (2, 3): 2**70})
     assert v.coeff([np.int32(2), 1]) == 2 and v.coeff((2, 3)) == 2**70 % 3
 
@@ -316,10 +321,10 @@ def test_drop_once_splits_down_to_every_leaf(monkeypatch, block):
     leaves = set()
     split = tabloid._drop_into
 
-    def record(out, w, m, j, at, to, plans):
+    def record(out, w, m, j, at, to):
         if math.comb(m, j) <= block:
             leaves.add((m, j))
-        split(out, w, m, j, at, to, plans)
+        split(out, w, m, j, at, to)
 
     monkeypatch.setattr(tabloid, "_drop_into", record)
     test_drop_once_matches_reference()
@@ -339,7 +344,7 @@ def test_drop_once_above_the_block_matches_reference():
 
 
 def test_drop_once_leaves_no_reference_cycles():
-    # a cycle would hold each call's plans and output until the collector runs
+    # a cycle would hold each call's output until the collector runs
     n, k = 15, 7
     w = np.random.default_rng(61).integers(0, 3, size=math.comb(n, k))
     gc.collect()
@@ -350,6 +355,41 @@ def test_drop_once_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_drop_plan_pairs_are_the_inclusion_pairs():
+    # the split builds each block's pairs; the reference builds W_{j-1,j}
+    # from member ranks, so the two routes share no index code
+    shapes = [(m, j) for m in range(1, 15) for j in range(1, m + 1)
+              if math.comb(m, j) <= tabloid._DROP_BLOCK]
+    assert (14, 1) in shapes and (10, 5) in shapes
+    for m, j in shapes:
+        dst, src = tabloid._drop_plan(m, j)
+        assert not dst.flags.writeable and not src.flags.writeable
+        assert len(dst) == len(src) == j * math.comb(m, j)
+        rows, cols = np.nonzero(inclusion_matrix(m, j - 1, j, BIG_PRIME).entries)
+        want = set(zip(rows.tolist(), cols.tolist()))
+        assert set(zip(dst.tolist(), src.tolist())) == want, (m, j)
+
+
+def test_level_walk_needs_no_rank_or_listing(monkeypatch):
+    rng = np.random.default_rng(67)
+    cases = []
+    for n, b in ((13, 6), (15, 7)):
+        small = rng.integers(-50, 50, size=math.comb(n, b))
+        for w in (small, small.astype(object) * (2**64 + 1)):
+            cases.append((n, b, w, [x.tolist() for x in psi_levels(n, b, w)]))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the level walk ranked or listed subsets")
+
+    tabloid._drop_plan.cache_clear()  # so every plan is built under the patch
+    for name in ("_members", "_rank", "subsets_colex"):
+        monkeypatch.setattr(tabloid, name, refuse)
+    for n, b, w, want in cases:
+        got = psi_levels(n, b, w)
+        assert [x.dtype for x in got] == [w.dtype] * (b + 1)
+        assert [x.tolist() for x in got] == want
 
 
 def test_psi_reduces_mod_p():
