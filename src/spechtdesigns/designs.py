@@ -18,9 +18,9 @@ import numpy as np
 
 from .linalg import MatZ, _require_word_prime, _solve_augmented, solve_integer
 from .numtheory import (
+    _carries,
     _require_ints,
     binom_mod_p,
-    binom_val_p,
     digits_base_p,
     p_adic_length,
     require_odd_prime,
@@ -390,7 +390,7 @@ def poset_X(a: int, b: int, p: int) -> PosetX:
         return x
 
     for i, j in combinations(members, 2):  # i < j
-        if binom_val_p(b - i, j - i, p) == 0:  # Kummer: no carry, so C != 0 mod p
+        if _carries(j - i, b - j, p) == 0:  # Kummer: C(b-i, j-i) != 0 mod p
             parent[find(i)] = find(j)
     groups: dict[int, list[int]] = {}
     for j in members:

@@ -178,9 +178,14 @@ def binom_val_p(m: int, k: int, p: int) -> int:
     _require_ints((m, k), "binomial arguments")
     if not 0 <= k <= m:
         raise ValueError(f"need 0 <= k <= m, got k={k}, m={m}")
+    return _carries(k, m - k, p)
+
+
+def _carries(x: int, y: int, p: int) -> int:
+    """Carries when adding x + y in base p, unchecked: x, y >= 0 and p prime
+    are the caller's to ensure. By Kummer this is the valuation of C(x+y, x)."""
     carries = 0
     carry = 0
-    x, y = k, m - k
     while x or y or carry:
         s = x % p + y % p + carry
         carry = 1 if s >= p else 0

@@ -632,10 +632,33 @@ def test_element_to_text_matches_json_dumps():
         size = math.comb(n, b)
         keep = rng.random(size) < rng.random()  # sparse to full support
         cases.append(Element(n, b, p, rng.integers(0, p, size) * keep))
-    for u in cases:
-        for indent in (None, 2):
+    tables = _table_encoder_cases(rng)
+    for u in cases + tables:
+        for indent in (None, 0, 2, 4):
             assert element_to_text(u, indent) == json.dumps(element_to_json(u), indent=indent)
     assert '"entries": []' in element_to_text(cases[0], 2)
+    for u in tables:
+        for indent in (None, 2):
+            assert element_from_text(element_to_text(u, indent)) == u
+
+
+def _table_encoder_cases(rng) -> list:
+    """Elements that reach every part of element_to_text's byte tables."""
+    big = 2147483629
+    widths = [10**k - 1 for k in range(1, 10)] + [10**k for k in range(10)] + [big - 1]
+    spread = np.zeros(math.comb(7, 3), dtype=np.int64)  # every coefficient width up to p - 1
+    spread[rng.permutation(len(spread))[:len(widths)]] = widths
+    cases = [Element(7, 3, big, spread)]
+    for n, b in ((40, 2), (62, 1)):  # members 10 up to 62
+        size = math.comb(n, b)
+        cases.append(Element(n, b, 5, rng.integers(1, 5, size) * (rng.random(size) < 0.1)))
+        cases.append(Element.from_subsets(n, b, 5, {tuple(range(n - b + 1, n + 1)): 4}))
+    # m = 1, with no middle member and with three
+    cases += [Element.from_subsets(1, 1, 3, {(1,): 2}),
+              Element.from_subsets(9, 4, 7, {(2, 3, 5, 9): 6})]
+    wide = Element(15, 7, 3, rng.integers(1, 3, math.comb(15, 7)))
+    assert len(wide.vec) > tabloid._TEXT_BLOCK  # more than one record array
+    return cases + [wide]
 
 
 def test_element_from_text_round_trip():
