@@ -1,148 +1,15 @@
 """Exact arithmetic for p-ary designs on two-row tabloids and brute-force
 verification of the first-cohomology classification mod p."""
 
-from .numtheory import (
-    Digits,
-    all_binoms_divisible,
-    all_binoms_divisible_by_digits,
-    binom_mod_p,
-    binom_val_p,
-    digits_base_p,
-    p_adic_length,
-    p_adic_val,
-    require_odd_prime,
-)
-from .linalg import (
-    MatFp,
-    MatZ,
-    rank_fp,
-    solve_integer,
-)
-from .tabloid import (
-    Element,
-    Partition2,
-    constant_level_system,
-    element_from_json,
-    element_from_text,
-    element_to_json,
-    element_to_text,
-    f_lambda,
-    h0_dim,
-    james_check,
-    psi,
-    psi_int,
-    psi_levels,
-    specht_dim,
-    specht_membership,
-    subsets_colex,
-)
-from .designs import (
-    DesignParams,
-    IntegerDesign,
-    PosetX,
-    Spectrum,
-    coefficient_transfer,
-    constant_value,
-    construct_integral_design,
-    find_t_design_fp,
-    integral_design_exists,
-    is_t_design,
-    is_universal,
-    level_design_exists,
-    null_design_generator,
-    poset_X,
-    similar,
-    spectrum,
-    wilson_exists,
-)
-from .h1 import (
-    Classification,
-    H1Report,
-    brute_force_h1,
-    check_main_theorem,
-    classify,
-    predicted_h1,
-    survey,
-    survey_csv,
-)
-from .hemmer import (
-    HemmerReport,
-    SelfCheckError,
-    adjoin,
-    construct_auto,
-    construct_base_case,
-    construct_james,
-    construct_pointed,
-    decompose_pointed,
-    find_hemmer_by_solver,
-    verify_hemmer,
-)
+from . import designs, h1, hemmer, linalg, numtheory, tabloid
+from .numtheory import *
+from .linalg import *
+from .tabloid import *
+from .designs import *
+from .h1 import *
+from .hemmer import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Digits",
-    "all_binoms_divisible",
-    "all_binoms_divisible_by_digits",
-    "binom_mod_p",
-    "binom_val_p",
-    "digits_base_p",
-    "p_adic_length",
-    "p_adic_val",
-    "require_odd_prime",
-    "MatFp",
-    "MatZ",
-    "rank_fp",
-    "solve_integer",
-    "Element",
-    "Partition2",
-    "constant_level_system",
-    "element_from_json",
-    "element_from_text",
-    "element_to_json",
-    "element_to_text",
-    "f_lambda",
-    "h0_dim",
-    "james_check",
-    "psi",
-    "psi_int",
-    "psi_levels",
-    "specht_dim",
-    "specht_membership",
-    "subsets_colex",
-    "DesignParams",
-    "IntegerDesign",
-    "PosetX",
-    "Spectrum",
-    "coefficient_transfer",
-    "constant_value",
-    "construct_integral_design",
-    "find_t_design_fp",
-    "integral_design_exists",
-    "is_t_design",
-    "is_universal",
-    "level_design_exists",
-    "null_design_generator",
-    "poset_X",
-    "similar",
-    "spectrum",
-    "wilson_exists",
-    "Classification",
-    "H1Report",
-    "brute_force_h1",
-    "check_main_theorem",
-    "classify",
-    "predicted_h1",
-    "survey",
-    "survey_csv",
-    "HemmerReport",
-    "SelfCheckError",
-    "adjoin",
-    "construct_auto",
-    "construct_base_case",
-    "construct_james",
-    "construct_pointed",
-    "decompose_pointed",
-    "find_hemmer_by_solver",
-    "verify_hemmer",
-]
+__all__ = [name for layer in (numtheory, linalg, tabloid, designs, h1, hemmer)
+           for name in layer.__all__]

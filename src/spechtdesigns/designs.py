@@ -306,7 +306,10 @@ def construct_integral_design(g: int, b: int, t: int, mu) -> IntegerDesign | Non
     design = IntegerDesign(g, b, tuple(x))
     levels = psi_levels(g, b, np.array(design.coeffs, dtype=object))
     if any((levels[s] != mus[s]).any() for s in range(t + 1)):
-        raise AssertionError("integral design failed its level check")
+        raise AssertionError(
+            f"integral design on (g={g}, b={b}, t={t}) failed its level check "
+            f"for mu={mus}"
+        )
     return design
 
 

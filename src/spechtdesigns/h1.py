@@ -199,19 +199,12 @@ def check_main_theorem(n_max: int, primes, budget: int = 4000) -> list[H1Report]
 
 
 def survey_csv(reports) -> str:
-    """Render reports as CSV with a fixed header."""
+    """Render reports as CSV with a fixed header; beta and bhat blank unless pointed."""
     buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(
-        ["a", "b", "p", "kind", "beta", "bhat", "dim_S", "dim_D",
-         "f_in_S", "quotient", "predicted", "match"]
-    )
+    w = csv.DictWriter(buf, ["a", "b", "p", "kind", "beta", "bhat", "dim_S", "dim_D",
+                             "f_in_S", "quotient", "predicted", "match"], lineterminator="\n")
+    w.writeheader()
     for r in reports:
         c = classify(r.a, r.b, r.p)
-        w.writerow(
-            [r.a, r.b, r.p, r.kind,
-             "" if c.beta is None else c.beta,
-             "" if c.bhat is None else c.bhat,
-             r.dim_S, r.dim_D, r.f_in_S, r.quotient, r.predicted, r.match]
-        )
+        w.writerow({**r.to_json(), "beta": c.beta, "bhat": c.bhat})
     return buf.getvalue()

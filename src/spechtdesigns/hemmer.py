@@ -267,7 +267,8 @@ def decompose_pointed(w: Element) -> tuple[Element, int]:
     sf = _f_spectrum(a, b, p)
     v = big[0]
     if sf.levels[v] == 0:
-        raise SelfCheckError(f"all-ones spectrum vanishes at poset level {v}")
+        raise SelfCheckError(f"all-ones spectrum {sf.levels} of (a={a}, b={b}, p={p}) "
+                             f"vanishes at poset level {v}")
     alpha = sw.levels[v] * pow(sf.levels[v], p - 2, p) % p
     u = w - alpha * f_lambda(a, b, p)
     su = spectrum(u)
@@ -275,7 +276,8 @@ def decompose_pointed(w: Element) -> tuple[Element, int]:
         mu != 0 for lv, mu in enumerate(su.levels) if lv != bhat
     ):
         raise SelfCheckError(
-            f"residual spectrum {su.levels} not supported on level {bhat}"
+            f"residual spectrum {su.levels} of (a={a}, b={b}, p={p}) "
+            f"not supported on level {bhat}"
         )
     return u, alpha
 
@@ -309,7 +311,5 @@ def find_hemmer_by_solver(a: int, b: int, p: int, budget: int = 4000) -> Element
         levels = _kernel_vector(m, p, pivots, g, first=e)[ncols:]
         if not Spectrum(p, tuple(levels.tolist())).is_multiple_of(sf_kept):
             u = Element(n, b, p, _kernel_vector(m, p, pivots, g)[:ncols])
-            if not verify_hemmer(u).is_hemmer:
-                raise SelfCheckError("solver element failed verification")
-            return u
+            return _certify(u, "solver", lambda levels: True)
     return None

@@ -415,5 +415,5 @@ def solve_integer(a: MatZ, rhs: Sequence[int]) -> list[int] | None:
                 if uj[i]:
                     x[i] += t * uj[i]
     if a.apply(x) != b:
-        raise AssertionError("integer solver produced a non-solution")
+        raise AssertionError(f"integer solver produced a non-solution of a {m} x {n} system")
     return x

@@ -19,10 +19,10 @@ element_to_json is the element's JSON form as a dict; element_to_text
 writes the same document as text, equal byte for byte to json.dumps of
 the dict, and formats no number per entry: each slot of one template is
 written from a byte table of the values it can hold, each followed by the
-fixed text after the slot. _layout holds that template, and
-element_from_text inverts it: it checks a text against the template and
-reads its digit runs into one int64 array, and hands any other text to
-json.loads and element_from_json.
+fixed text after the slot. _layout cuts that template from json.dumps
+of documents whose numbers are slots, and element_from_text inverts it:
+it checks a text against the template and reads its digit runs into one
+int64 array, and hands any other text to json.loads and element_from_json.
 
 psi_v sends a b-subset to the formal sum of its v-subsets. Its matrix is
 the 0/1 inclusion matrix W_{v,b} of v-subsets into b-subsets. One walk
@@ -552,23 +552,23 @@ def _layout(b: int, m: int, indent: int | None) -> tuple[str, str, str, str]:
 
     The text is head + sep.join([entry] * m) + tail, its 3 + m(b+1) %d
     slots filled by p, a, b and then each block's b members and
-    coefficient; breaks and spaces are those of json.dumps(..., indent=indent).
+    coefficient. The pieces are cut from json.dumps(..., indent=indent) of
+    documents whose numbers are all -1, each -1 then made a %d slot: the
+    entries [0, 0] split on "0" into head, sep and tail, one block fills
+    the entry between them, and [] gives the head and tail for m = 0.
+    entry and sep are those of a block even then: the decoder reads its
+    slot offsets from entry.
     """
-    pad = None if indent is None else " " * indent
-    comma = ", " if pad is None else ","  # json.dumps drops the space once it indents
+    def dump(entries: list) -> str:
+        doc = {"p": -1, "a": -1, "b": -1, "entries": entries}
+        return json.dumps(doc, indent=indent).replace("-1", "%d")
 
-    def brk(depth: int) -> str:  # the break json.dumps puts before an item at this depth
-        return "" if pad is None else "\n" + pad * depth
-
-    def items(parts: list[str], depth: int) -> str:
-        return brk(depth) + (comma + brk(depth)).join(parts) + brk(depth - 1)
-
-    entry = "{" + items(['"set": [' + items(["%d"] * b, 4) + "]", '"coeff": %d'], 3) + "}"
-    # "|" stands for the entries; json.dumps writes an empty list as [] unbroken
-    entries = "[" + items(["|"], 2) + "]" if m else "[|]"
-    head = ['"p": %d', '"a": %d', '"b": %d', '"entries": ' + entries]
-    start, end = ("{" + items(head, 1) + "}").split("|")
-    return start, entry, comma + brk(2), end
+    head, sep, tail = dump([0, 0]).split("0")
+    entry = dump([{"set": [-1] * b, "coeff": -1}])[len(head):-len(tail)]
+    if not m:
+        start, end = dump([]).split("[]")
+        head, tail = start + "[", "]" + end
+    return head, entry, sep, tail
 
 
 # Support blocks encoded per record array. Measured on (11,10,3): 2^12 and

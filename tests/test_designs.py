@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from spechtdesigns import tabloid
+from spechtdesigns import designs, tabloid
 from spechtdesigns.designs import (
     DesignParams,
     IntegerDesign,
@@ -259,6 +259,13 @@ def test_construct_integral_design_examples():
     assert set(d.hat_values(2)) == {3}
     with pytest.raises(ValueError, match="must be ints"):
         construct_integral_design(4, 2, 1, [6.5, 3])  # built a design for (6, 3)
+
+
+def test_integral_design_self_check_names_the_system(monkeypatch):
+    monkeypatch.setattr(designs, "solve_integer", lambda a, rhs: [0] * a.shape[1])
+    with pytest.raises(AssertionError,
+                       match=r"\(g=5, b=2, t=1\) failed its level check for mu=\[10, 4\]"):
+        construct_integral_design(5, 2, 1, (10, 4))
 
 
 def test_integer_design_reduce_mod():

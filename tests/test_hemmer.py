@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -6,6 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from spechtdesigns import hemmer
 from spechtdesigns.designs import (
     DesignParams,
     Spectrum,
@@ -396,6 +398,30 @@ def test_decompose_rejections():
         decompose_pointed(f_lambda(8, 3, 3))  # james shape
     with pytest.raises(ValueError):
         decompose_pointed(Element.from_subsets(6, 3, 3, {(1, 2, 3): 1}))
+
+
+def test_decompose_self_checks_name_the_shape(monkeypatch):
+    f = f_lambda(4, 3, 3)
+    with monkeypatch.context() as m:
+        m.setattr(hemmer, "_f_spectrum", lambda a, b, p: Spectrum(p, (0,) * b))
+        with pytest.raises(SelfCheckError,
+                           match=r"all-ones spectrum \(0, 0, 0\) of \(a=4, b=3, p=3\) vanishes"):
+            decompose_pointed(f)
+    # with f taken as zero, f itself is the residual, nonzero off the isolated level
+    monkeypatch.setattr(hemmer, "f_lambda", lambda a, b, p: Element.zero(a + b, b, p))
+    with pytest.raises(SelfCheckError,
+                       match=r"residual spectrum \(.*\) of \(a=4, b=3, p=3\) not supported"):
+        decompose_pointed(f)
+
+
+def test_solver_self_check_names_the_shape_and_spectrum(monkeypatch):
+    real = hemmer.verify_hemmer
+    monkeypatch.setattr(hemmer, "verify_hemmer",
+                        lambda u: dataclasses.replace(real(u), condition2=False))
+    with pytest.raises(SelfCheckError,
+                       match=r"solver element for \(a=8, b=3, p=3\) failed verification: "
+                             r"spectrum \(\d+, \d+, \d+\)"):
+        find_hemmer_by_solver(8, 3, 3)
 
 
 def test_self_check_error_is_runtime_error():

@@ -345,6 +345,12 @@ def test_solve_integer_examples():
     assert x is not None and a.apply(x) == [7]
 
 
+def test_solve_integer_self_check_names_the_shape(monkeypatch):
+    monkeypatch.setattr(MatZ, "apply", lambda self, vec: [1] * self.shape[0])
+    with pytest.raises(AssertionError, match="non-solution of a 2 x 3 system"):
+        solve_integer(MatZ([[1, 0, 0], [0, 1, 0]]), [0, 0])
+
+
 def test_solve_integer_random_solvable():
     rng = np.random.default_rng(5)
     for _ in range(40):

@@ -624,7 +624,8 @@ def test_element_json_names_first_bad_entry():
 
 def test_element_to_text_matches_json_dumps():
     rng = np.random.default_rng(71)
-    cases = [Element.zero(6, 3, 3), Element.ones(1, 1, 5), Element.ones(5, 5, 7)]
+    empty = [Element.zero(6, 3, 3), Element.zero(1, 1, 3), Element.zero(9, 5, 2147483629)]
+    cases = empty + [Element.ones(1, 1, 5), Element.ones(5, 5, 7)]  # no support at every indent
     for _ in range(150):
         n = int(rng.integers(1, 12))
         b = int(rng.integers(1, n + 1))
@@ -663,8 +664,10 @@ def _table_encoder_cases(rng) -> list:
 
 def test_element_from_text_round_trip():
     rng = np.random.default_rng(83)
-    cases = [Element.zero(6, 3, 3), Element.zero(1, 1, 3), Element.ones(1, 1, 5),
-             Element.ones(5, 5, 7), Element.ones(4, 2, 2147483629)]
+    # no support: the decoder still reads a block's slot offsets from the template
+    empty = [Element.zero(6, 3, 3), Element.zero(1, 1, 3), Element.zero(9, 5, 2147483629)]
+    cases = empty + [Element.ones(1, 1, 5), Element.ones(5, 5, 7),
+                     Element.ones(4, 2, 2147483629)]
     for _ in range(150):
         n = int(rng.integers(1, 12))
         b = int(rng.integers(1, n + 1))
