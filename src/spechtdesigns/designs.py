@@ -16,7 +16,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .linalg import MatZ, _require_word_prime, _solve_augmented, solve_integer
+from .linalg import MatZ, solve_integer
 from .numtheory import (
     _carries,
     _require_ints,
@@ -29,6 +29,7 @@ from .tabloid import (
     _MAX_SUBSETS,
     Element,
     Partition2,
+    _level_element,
     _ranks,
     _require_listable,
     constant_level_system,
@@ -123,8 +124,12 @@ class Spectrum:
 
 
 def constant_value(arr) -> int | None:
-    """The common entry of a vector, or None if entries differ."""
+    """The common entry of a vector of ints, or None if entries differ;
+    as in psi_levels, floats and bools are refused."""
     a = np.asarray(arr)
+    if a.dtype.kind not in "iu" or not isinstance(arr, np.ndarray):
+        a = np.asarray(arr, dtype=object)
+        _require_ints(a.flat, "vector entries")
     if a.size == 0:
         return 0
     first = a.flat[0]
@@ -166,6 +171,8 @@ def coefficient_transfer(mu_t: int, params: DesignParams, j: int) -> int:
     level-j coefficient is not determined by mu_t and this raises.
     """
     g, b, t, p = params.g, params.b, params.t, params.p
+    _require_ints((mu_t, j), "level constant and level")
+    mu_t, j = int(mu_t), int(j)
     if not 0 <= j <= t:
         raise ValueError(f"need 0 <= j <= t, got j={j}, t={t}")
     den = binom_mod_p(b - j, t - j, p)
@@ -208,33 +215,14 @@ def wilson_exists(g: int, b: int, t: int, p: int) -> bool:
     )
 
 
-def _solve_levels_fp(g: int, b: int, p: int, targets: dict[int, int]) -> Element | None:
-    """Canonical echelon element (free coordinates zero) whose level-s sums
-    are all targets[s] mod p, or None when there is none.
-
-    The rhs overwrites the first scalar column, and [W | rhs] is
-    eliminated forward in place, so the system is the only copy alive; the
-    solution is then back-solved from the rhs column alone. It needs no
-    reduction: W is 0/1 and each rhs entry is a target mod p.
-    """
-    _require_word_prime(p)
-    _require_ints(targets.values(), "level targets")
-    system = constant_level_system(g, b, targets)
-    ncols = system.shape[1] - len(targets)
-    mu = np.array([m % p for m in targets.values()], dtype=np.int64)
-    system[:, ncols] = -(system[:, ncols:] @ mu)
-    x = _solve_augmented(system[:, : ncols + 1], p)
-    return None if x is None else Element(g, b, p, x)
-
-
 def find_t_design_fp(params: DesignParams, target: int) -> Element | None:
     """A t-design with level-t constant `target`, by solving mod p.
 
-    Returns the canonical echelon solution (free coordinates zero) or None
-    when no design exists. target 0 is allowed; the zero element then
-    satisfies it.
+    Returns the canonical echelon solution (free coordinates zero) from
+    tabloid._level_element, or None when no design exists. target 0 is
+    allowed; the zero element then satisfies it.
     """
-    return _solve_levels_fp(params.g, params.b, params.p, {params.t: target})
+    return _level_element(params.g, params.b, params.p, {params.t: target})
 
 
 def _level_constants(g: int, b: int, t: int, mu) -> list[int]:
@@ -321,6 +309,9 @@ def null_design_generator(g: int, b: int, t: int, pairs, fixed=()) -> IntegerDes
     x_i or y_i from every pair; the sign is the parity of the number of
     y picks. Every level <= t then sums to zero.
     """
+    _require_ints((t,), "strength")
+    if t < 0:
+        raise ValueError(f"need strength t >= 0, got t={t}")
     ps = [(x, y) for x, y in pairs]
     fx = tuple(fixed)
     _require_ints(chain(chain.from_iterable(ps), fx), "points")

@@ -20,7 +20,6 @@ import numpy as np
 
 from .designs import (
     Spectrum,
-    _solve_levels_fp,
     poset_X,
     spectrum,
 )
@@ -32,6 +31,7 @@ from .tabloid import (
     Partition2,
     _kept_echelon,
     _kept_levels,
+    _level_element,
     _require_columns,
     _require_listable,
     f_lambda,
@@ -210,10 +210,10 @@ def construct_james(a: int, b: int, p: int) -> Element:
     minimum valuation gives targets, not all divisible by p, that an
     integral design realizes; so the GF(p) level system with those targets
     is consistent, and its canonical echelon solution is returned: one
-    forward elimination of the system, then a back-solve of its one rhs
-    column (designs._solve_levels_fp). The targets obey the composition identity mod p, so the system on the
-    levels of _kept_levels(b, p) has the same augmented row space, hence
-    the same echelon solution, as the one on all levels.
+    forward elimination and a back-solve from the preset targets
+    (tabloid._level_element). The targets obey the composition identity
+    mod p, so the system on the levels of _kept_levels(b, p) has the same
+    solutions, hence echelon solution, as the one on all levels.
     """
     n = a + b
     _require_listable(n, b)
@@ -223,7 +223,7 @@ def construct_james(a: int, b: int, p: int) -> Element:
     exact = [math.comb(n - s, b - s) for s in range(b)]
     d = min(p_adic_val(x, p) for x in exact)
     mus = [x // p**d % p for x in exact]
-    u = _solve_levels_fp(n, b, p, {s: mus[s] for s in _kept_levels(b, p)})
+    u = _level_element(n, b, p, {s: mus[s] for s in _kept_levels(b, p)})
     if u is None:
         raise SelfCheckError(
             f"no element with level constants {mus} mod {p} on (n={n}, b={b})"
@@ -308,8 +308,9 @@ def find_hemmer_by_solver(a: int, b: int, p: int, budget: int = 4000) -> Element
     for g in range(ncols, m.shape[1]):
         if g in pivots[e:]:
             continue
-        levels = _kernel_vector(m, p, pivots, g, first=e)[ncols:]
+        unit = np.eye(1, m.shape[1], g, dtype=np.int64)[0]
+        levels = _kernel_vector(m, p, pivots, unit, first=e)[ncols:]
         if not Spectrum(p, tuple(levels.tolist())).is_multiple_of(sf_kept):
-            u = Element(n, b, p, _kernel_vector(m, p, pivots, g)[:ncols])
+            u = Element(n, b, p, _kernel_vector(m, p, pivots, unit)[:ncols])
             return _certify(u, "solver", lambda levels: True)
     return None

@@ -10,9 +10,9 @@ products are proven below 2^53, where float64 is exact, and in int64
 otherwise. Inside the panel, rows go unreduced between updates only while
 proven below 2^63. Each bound is asserted where it is taken, so there is
 no inexact arithmetic: float64 never holds a value it cannot represent,
-and int64 never wraps. Nothing is cleared above the pivots: a kernel
-vector or an affine solution is back-substituted, one column, through the
-echelon rows (_kernel_vector).
+and int64 never wraps. Nothing is cleared above the pivots: each vector is
+a kernel vector completed bottom-up from preset coordinates, one column at
+a time (_kernel_vector); A x = b presets the last coordinate of [A | -b].
 Integer solving works on arbitrary-precision Python ints via a column
 echelon form built from unimodular column operations.
 """
@@ -274,40 +274,26 @@ def rank_fp(a: MatFp) -> int:
     return len(pivots)
 
 
-def _kernel_vector(m: np.ndarray, p: int, pivots: list[int], free: int, first: int = 0) -> np.ndarray:
-    """Kernel vector of the forward echelon form m: 1 at free column
-    `free`, 0 at the other free columns, back-substituted through the
-    pivot rows from `first` on; earlier rows' pivot coordinates stay 0.
+def _kernel_vector(m: np.ndarray, p: int, pivots: list[int], x: np.ndarray, first: int = 0) -> np.ndarray:
+    """A copy of the residue vector x completed to a kernel vector of the
+    forward echelon form m: the pivot rows from `first` on, last first,
+    each move their pivot coordinate; every other coordinate stays.
 
     A row reads only coordinates right of its unit pivot, which the rows
-    below it fix, so the solved ones are exact. t holds each unsolved
-    row's sum over the solved columns; its terms stay below p + p^2 < 2^63.
+    below it fix, so the solved ones are exact; a moved preset shows that
+    none is consistent. t holds each unsolved row's residual: m x through
+    _matmul_mod, since three terms of (p-1)^2 can pass 2^63, then updates
+    below p + p^2 < 2^63.
     """
-    x = np.zeros(m.shape[1], dtype=np.int64)
-    x[free] = 1
-    t = m[first : len(pivots), free].copy()
+    x = x.copy()
+    nz = np.flatnonzero(x)
+    t = _matmul_mod(m[first : len(pivots), nz], x[nz, None], p).ravel()
     for i in range(len(pivots) - 1, first - 1, -1):
-        xi = -int(t[i - first]) % p
-        if xi:
-            x[pivots[i]] = xi
-            t[: i - first] = (t[: i - first] + m[first:i, pivots[i]] * xi) % p
+        d = -int(t[i - first]) % p
+        if d:
+            x[pivots[i]] = (x[pivots[i]] + d) % p
+            t[: i - first] = (t[: i - first] + m[first:i, pivots[i]] * d) % p
     return x
-
-
-def _solve_augmented(aug: np.ndarray, p: int) -> np.ndarray | None:
-    """The canonical echelon solution (free coordinates zero) of A x = b
-    over GF(p), or None when the system is inconsistent.
-
-    [A | b] is given as one residue array and eliminated forward, in
-    place. A pivot in the rhs column certifies inconsistency. Otherwise
-    the rhs column is free, and its kernel vector (1 there, 0 at the other
-    free columns) is minus the solution.
-    """
-    _, pivots = _eliminate(aug, p)
-    cols = aug.shape[1] - 1
-    if pivots and pivots[-1] == cols:
-        return None
-    return -_kernel_vector(aug, p, pivots, cols)[:cols] % p
 
 
 class MatZ:

@@ -58,7 +58,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .linalg import _eliminate, _int64_array, _require_word_prime
+from .linalg import _eliminate, _int64_array, _kernel_vector, _require_word_prime
 from .numtheory import _require_ints, all_binoms_divisible, require_odd_prime
 
 __all__ = [
@@ -384,9 +384,10 @@ def psi_levels(n: int, b: int, vec, v: int = 0) -> list[np.ndarray]:
 
     Entry k - v of the returned list is psi_k(vec); the last entry is vec
     itself. Entries are Python ints (object dtype) when the int64 bound
-    would not hold. vec must hold ints or numpy integers: floats and bools
-    are refused, and ints past int64 are read as Python ints.
+    would not hold. vec and v must hold ints or numpy integers: floats and
+    bools are refused, and ints past int64 are read as Python ints.
     """
+    _require_ints((v,), "level")
     if not 0 <= v <= b:
         raise ValueError(f"need 0 <= v <= b, got v={v}, b={b}")
     w = np.asarray(vec)
@@ -479,17 +480,35 @@ def _kept_levels(b: int, p: int) -> list[int]:
     return kept[::-1]
 
 
-def _kept_echelon(n: int, b: int, p: int) -> tuple[np.ndarray, list[int]]:
-    """The level system on _kept_levels(b, p), eliminated in place, and its pivots.
+def _kept_echelon(n: int, b: int, p: int, levels=None) -> tuple[np.ndarray, list[int]]:
+    """The level system on levels, by default _kept_levels(b, p), eliminated in place.
 
     The 0/1 element columns are already residues and only the -1 scalar
     entries are reduced, so constant_level_system's array is the one copy.
     Panels run left to right, so the pivots among the first C(n, b)
     columns are those of the element columns alone.
     """
-    system = constant_level_system(n, b, _kept_levels(b, p))
+    system = constant_level_system(n, b, _kept_levels(b, p) if levels is None else levels)
     system[:, math.comb(n, b):] %= p
     return _eliminate(system, p)
+
+
+def _level_element(n: int, b: int, p: int, targets: Mapping[int, int]) -> Element | None:
+    """The echelon element (free coordinates zero) whose level-s sums are
+    all targets[s] mod p: _kept_echelon on the target levels, back-solved
+    from its scalar coordinates preset to the targets. None when a scalar
+    pivot row, zero on the element columns, moves a preset: no element fits.
+    """
+    _require_word_prime(p)
+    _require_ints(targets.values(), "level targets")
+    m, pivots = _kept_echelon(n, b, p, list(targets))
+    ncols = math.comb(n, b)
+    preset = np.zeros(m.shape[1], dtype=np.int64)
+    preset[ncols:] = [t % p for t in targets.values()]
+    x = _kernel_vector(m, p, pivots, preset)
+    if not np.array_equal(x[ncols:], preset[ncols:]):
+        return None
+    return Element(n, b, p, x[:ncols])
 
 
 def specht_membership(u: Element) -> bool:

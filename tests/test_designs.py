@@ -97,6 +97,24 @@ def test_spectrum_non_constant_level():
     assert not is_universal(u)
     with pytest.raises(ValueError):
         is_t_design(u, 2)
+    # True was read as level 1, where u is not constant
+    for t in (True, 1.0):
+        with pytest.raises(ValueError, match="must be ints"):
+            is_t_design(u, t)
+    assert is_t_design(u, np.int64(0))
+
+
+def test_constant_value_refuses_floats_and_bools():
+    # each returned 1
+    for vec in ([1.5, 1.5], np.array([True, True]), [True, True], np.array([1.0, 1.0]),
+                np.array([1, 1.5], dtype=object)):
+        with pytest.raises(ValueError, match="must be ints"):
+            constant_value(vec)
+    assert constant_value(np.array([4, 4], dtype=np.int64)) == 4
+    assert constant_value(np.array([2**70, 2**70], dtype=object)) == 2**70
+    assert constant_value([2**70, 2**70 + 1]) is None
+    assert constant_value(np.array([3, 3], dtype=np.uint8)) == 3
+    assert constant_value([]) == 0
 
 
 def test_spectrum_linearity():
@@ -184,6 +202,11 @@ def test_coefficient_transfer():
     s = spectrum(f)
     params = DesignParams(7, 3, 2, 3)
     assert coefficient_transfer(s.levels[2], params, 1) == s.levels[1]
+    # a float mu_t was returned as is, and True was read as 1
+    for mu_t, j in ((1.5, 0), (True, 1), (1, 1.0), (1, True)):
+        with pytest.raises(ValueError, match="must be ints"):
+            coefficient_transfer(mu_t, DesignParams(10, 4, 1, 3), j)
+    assert coefficient_transfer(np.int64(1), params, np.int64(1)) == s.levels[1]
 
 
 def test_wilson_examples():
@@ -312,6 +335,12 @@ def test_null_generator_strength_and_validation():
                          ([(1, 2), (3, 4)], (5.0,))):
         with pytest.raises(ValueError, match="must be ints"):  # 1.9 is not point 1
             null_design_generator(6, 3, 1, pairs, fixed)
+    # t = -1 took no pairs and returned the one block of its fixed points
+    with pytest.raises(ValueError, match="t >= 0"):
+        null_design_generator(5, 2, -1, [], fixed=[1, 2])
+    for t in (1.0, True):
+        with pytest.raises(ValueError, match="must be ints"):
+            null_design_generator(6, 3, t, [(1, 2), (3, 4)], (5,))
 
 
 def test_null_generator_matches_block_loop():

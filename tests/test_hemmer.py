@@ -11,7 +11,6 @@ from spechtdesigns import hemmer
 from spechtdesigns.designs import (
     DesignParams,
     Spectrum,
-    _solve_levels_fp,
     find_t_design_fp,
     spectrum,
 )
@@ -32,6 +31,7 @@ from spechtdesigns.linalg import MatFp
 from spechtdesigns.numtheory import p_adic_length, p_adic_val
 from spechtdesigns.tabloid import (
     Element,
+    _level_element,
     constant_level_system,
     element_from_text,
     element_to_json,
@@ -251,7 +251,7 @@ def test_james_witness_matches_full_level_solve(a, b, p):
     n = a + b
     exact = [math.comb(n - s, b - s) for s in range(b)]
     d = min(p_adic_val(x, p) for x in exact)
-    full = _solve_levels_fp(n, b, p, {s: x // p**d % p for s, x in enumerate(exact)})
+    full = _level_element(n, b, p, {s: x // p**d % p for s, x in enumerate(exact)})
     assert construct_james(a, b, p).vec.tobytes() == full.vec.tobytes()
 
 

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linalg_reference import blocked_rref, canonical_solution, kernel_basis
-from spechtdesigns import designs, linalg, numtheory
-from spechtdesigns.designs import DesignParams, find_t_design_fp
-from spechtdesigns.hemmer import construct_james
+from spechtdesigns import designs, hemmer, linalg, numtheory, tabloid
+from spechtdesigns.designs import DesignParams, find_t_design_fp, spectrum
+from spechtdesigns.hemmer import construct_james, find_hemmer_by_solver
 from spechtdesigns.linalg import MatFp, MatZ, rank_fp, solve_integer
 from spechtdesigns.tabloid import constant_level_system
 
@@ -244,8 +244,14 @@ def test_kernel_basis_properties():
 
 
 def solve(a: np.ndarray, rhs, p: int) -> np.ndarray | None:
-    """linalg._solve_augmented on a copy of [a | rhs] mod p."""
-    return linalg._solve_augmented(np.column_stack([a, rhs]) % p, p)
+    """The echelon solution of a x = rhs mod p, or None: [a | -rhs] is
+    eliminated and its kernel vector completed from 1 in the last
+    coordinate, which a pivot row moves exactly when there is none."""
+    m, pivots = linalg._eliminate(np.column_stack([a, -np.asarray(rhs)]) % p, p)
+    preset = np.zeros(m.shape[1], dtype=np.int64)
+    preset[-1] = 1
+    x = linalg._kernel_vector(m, p, pivots, preset)
+    return x[:-1] if x[-1] == 1 else None
 
 
 def test_affine_solution_against_enumeration():
@@ -286,9 +292,8 @@ def test_solve_matches_rref(p):
         x0 = rng.integers(0, p, size=a.shape[1])
         for rhs in (exact_product(a, x0.reshape(-1, 1), p).ravel(),
                     rng.integers(0, p, size=a.shape[0])):
-            aug = np.column_stack([a, rhs])
-            want = canonical_solution(aug, p)
-            got = linalg._solve_augmented(aug, p)
+            want = canonical_solution(np.column_stack([a, rhs]), p)
+            got = solve(a, rhs, p)
             if want is None:
                 assert got is None
             else:
@@ -305,22 +310,27 @@ JAMES_BENCH = ((8, 3, 3), (8, 4, 3), (9, 3, 5), (9, 4, 5), (14, 3, 5), (4, 4, 5)
 def test_solve_matches_rref_on_level_systems(monkeypatch):
     """Every GF(p) level system the library solves here: the t-designs with
     g <= 10, 0 <= t < b < g, targets 0, 1, 2 and p in {3, 5, 7}, the james
-    benchmark shapes and (8, 5, 3) give the RREF's canonical solution, or
-    None exactly where the RREF finds a pivot in the rhs column."""
+    benchmark shapes and (8, 5, 3) give the RREF's canonical solution of
+    W x = targets, or None exactly where the RREF finds a pivot in the rhs
+    column."""
     solved = {True: 0, False: 0}
-    real = linalg._solve_augmented
+    real = tabloid._level_element
 
-    def checked(aug, p):
-        want = canonical_solution(aug, p)
-        got = real(aug, p)
+    def checked(n, b, p, targets):
+        system = constant_level_system(n, b, list(targets))
+        ncols = system.shape[1] - len(targets)
+        rhs = -(system[:, ncols:] @ np.array(list(targets.values())))
+        want = canonical_solution(np.column_stack([system[:, :ncols], rhs]) % p, p)
+        got = real(n, b, p, targets)
         if want is None:
             assert got is None
         else:
-            assert got is not None and np.array_equal(got, want)
+            assert got is not None and np.array_equal(got.vec, want)
         solved[want is not None] += 1
         return got
 
-    monkeypatch.setattr(designs, "_solve_augmented", checked)
+    monkeypatch.setattr(designs, "_level_element", checked)
+    monkeypatch.setattr(hemmer, "_level_element", checked)
     for p in (3, 5, 7):
         for g in range(2, 11):
             for b in range(1, g):
@@ -331,6 +341,42 @@ def test_solve_matches_rref_on_level_systems(monkeypatch):
     for a, b, p in JAMES_BENCH + ((8, 5, 3),):
         construct_james(a, b, p)
     assert solved == {True: 1321 + len(JAMES_BENCH) + 1, False: 164}
+
+
+@pytest.mark.parametrize("n,b,levels", [(9, 4, (0, 1, 2, 3)), (10, 5, (1, 3, 4)), (8, 3, (0, 2))])
+def test_level_element_at_word_size_prime(n, b, levels):
+    # the targets of minus the all-ones element, so the system is consistent;
+    # presets near p put several terms of about p^2 in one residual row
+    p = 2147483629
+    targets = {s: -math.comb(n - s, b - s) % p for s in levels}
+    u = tabloid._level_element(n, b, p, targets)
+    assert u is not None
+    levels_of_u = spectrum(u).levels
+    assert all(levels_of_u[s] == mu for s, mu in targets.items())
+    system = constant_level_system(n, b, levels)
+    ncols = system.shape[1] - len(levels)
+    rhs = -(system[:, ncols:].astype(object) @ np.array(list(targets.values()), dtype=object))
+    aug = np.column_stack([system[:, :ncols], (rhs % p).astype(np.int64)])
+    assert np.array_equal(u.vec, canonical_solution(aug, p))
+
+
+@pytest.mark.parametrize("run", [
+    lambda: find_t_design_fp(DesignParams(9, 4, 2, 5), 1),
+    lambda: construct_james(8, 4, 3),
+    lambda: find_hemmer_by_solver(8, 3, 3),
+], ids=["find_t_design_fp", "construct_james", "find_hemmer_by_solver"])
+def test_level_solves_eliminate_once(monkeypatch, run):
+    calls = []
+    real = linalg._eliminate
+
+    def counting(m, p):
+        calls.append(m.shape)
+        return real(m, p)
+
+    monkeypatch.setattr(linalg, "_eliminate", counting)
+    monkeypatch.setattr(tabloid, "_eliminate", counting)
+    assert run() is not None
+    assert len(calls) == 1
 
 
 def test_solve_integer_examples():

@@ -397,6 +397,16 @@ def test_psi_reduces_mod_p():
     # each singleton lies in 4 pairs
     assert (psi(u, 1) == 1).all()
     assert psi(u, 0).tolist() == [10 % 3]
+    # True was read as level 1, and 2.0 raised TypeError from math.comb
+    for v in (True, 1.0):
+        with pytest.raises(ValueError, match="must be ints"):
+            psi(u, v)
+    u = Element.ones(6, 3, 3)
+    with pytest.raises(ValueError, match="must be ints"):
+        psi(u, 2.0)
+    with pytest.raises(ValueError, match="must be ints"):
+        psi_int(6, 3, u.vec, 2.0)
+    assert psi(u, np.int64(2)).tolist() == psi(u, 2).tolist()
 
 
 def test_inclusion_matrix_forms():
