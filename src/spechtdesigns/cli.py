@@ -1,7 +1,10 @@
 """Command-line interface.
 
 Subcommands map one-to-one onto library entry points and print JSON
-(CSV for survey). construct writes its element through
+(CSV for survey). build_parser names each subcommand's handler on its
+subparser, and main calls the handler the parse returns; construct's
+--method choices are the keys of the table it dispatches on,
+_construct_methods. construct writes its element through
 tabloid.element_to_text, which gives exactly the bytes of
 json.dumps(element_to_json(u), indent=...) without building the dict;
 verify reads it back through tabloid.element_from_text, which decodes that
@@ -35,7 +38,7 @@ from .hemmer import (
     find_hemmer_by_solver,
     verify_hemmer,
 )
-from .tabloid import element_from_text, element_to_json, element_to_text
+from .tabloid import _COLUMN_BUDGET, element_from_text, element_to_json, element_to_text
 
 __all__ = ["main", "build_parser"]
 
@@ -55,27 +58,27 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--pretty", action="store_true", help="indent JSON output")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def shape_args(sp):
-        sp.add_argument("--a", type=int, required=True, help="first row length")
-        sp.add_argument("--b", type=int, required=True, help="second row length")
-        sp.add_argument("--p", type=int, required=True, help="odd prime modulus")
+    def command(name: str, handler, summary: str, shape: bool = True):
+        sp = sub.add_parser(name, help=summary)
+        sp.set_defaults(handler=handler)
+        if shape:
+            sp.add_argument("--a", type=int, required=True, help="first row length")
+            sp.add_argument("--b", type=int, required=True, help="second row length")
+            sp.add_argument("--p", type=int, required=True, help="odd prime modulus")
+        return sp
 
-    sp = sub.add_parser("classify", help="kind of (a, b) mod p")
-    shape_args(sp)
+    command("classify", _cmd_classify, "kind of (a, b) mod p")
 
-    sp = sub.add_parser("construct", help="build a certified element")
-    shape_args(sp)
-    sp.add_argument(
-        "--method",
-        choices=["auto", "base", "james", "pointed", "solve"],
-        default="auto",
-    )
+    sp = command("construct", _cmd_construct, "build a certified element")
+    sp.add_argument("--method", choices=list(_construct_methods()), default="auto")
     sp.add_argument("--out", help="write element JSON to this file")
 
-    sp = sub.add_parser("verify", help="check the three conditions for an element")
+    sp = command("verify", _cmd_verify, "check the three conditions for an element",
+                 shape=False)
     sp.add_argument("--file", required=True, help="element JSON file")
 
-    sp = sub.add_parser("design", help="find a design with constant level sums")
+    sp = command("design", _cmd_design, "find a design with constant level sums",
+                 shape=False)
     sp.add_argument("--g", type=int, required=True, help="ground set size")
     sp.add_argument("--b", type=int, required=True, help="block size")
     sp.add_argument("--t", type=int, required=True, help="strength")
@@ -86,17 +89,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--mu", type=_int_list, help="level constants mu_0..mu_t (integral mode)"
     )
 
-    sp = sub.add_parser("poset", help="digit-compatible levels and components")
-    shape_args(sp)
+    command("poset", _cmd_poset, "digit-compatible levels and components")
 
-    sp = sub.add_parser("h1dim", help="brute-force quotient dimension")
-    shape_args(sp)
-    sp.add_argument("--budget", type=int, default=4000)
+    sp = command("h1dim", _cmd_h1dim, "brute-force quotient dimension")
+    sp.add_argument("--budget", type=int, default=_COLUMN_BUDGET)
 
-    sp = sub.add_parser("survey", help="CSV of brute force vs prediction")
+    sp = command("survey", _cmd_survey, "CSV of brute force vs prediction", shape=False)
     sp.add_argument("--nmax", type=int, required=True, help="max a + b")
     sp.add_argument("--p", type=_int_list, required=True, help="primes, e.g. 3,5")
-    sp.add_argument("--budget", type=int, default=4000)
+    sp.add_argument("--budget", type=int, default=_COLUMN_BUDGET)
     sp.add_argument("--out", help="write CSV to this file")
 
     return ap
@@ -117,21 +118,27 @@ def _cmd_classify(args) -> None:
     _emit(args, classify(args.a, args.b, args.p).to_json())
 
 
-def _cmd_construct(args) -> None:
-    builders = {
+def _construct_methods() -> dict:
+    """construct's --method table, in its --help order. It is built per call,
+    so a name rebound in this module since import is the one called."""
+    return {
         "auto": construct_auto,
         "base": construct_base_case,
         "james": construct_james,
         "pointed": construct_pointed,
+        "solve": _construct_by_solver,
     }
-    if args.method == "solve":
-        u = find_hemmer_by_solver(args.a, args.b, args.p)
-        if u is None:
-            raise ValueError(
-                f"no qualifying element exists for (a={args.a}, b={args.b}) mod {args.p}"
-            )
-    else:
-        u = builders[args.method](args.a, args.b, args.p)
+
+
+def _construct_by_solver(a: int, b: int, p: int):
+    u = find_hemmer_by_solver(a, b, p)
+    if u is None:
+        raise ValueError(f"no qualifying element exists for (a={a}, b={b}) mod {p}")
+    return u
+
+
+def _cmd_construct(args) -> None:
+    u = _construct_methods()[args.method](args.a, args.b, args.p)
     text = element_to_text(u, 2 if args.pretty else None)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -183,21 +190,10 @@ def _cmd_survey(args) -> None:
         sys.stdout.write(text)
 
 
-_HANDLERS = {
-    "classify": _cmd_classify,
-    "construct": _cmd_construct,
-    "verify": _cmd_verify,
-    "design": _cmd_design,
-    "poset": _cmd_poset,
-    "h1dim": _cmd_h1dim,
-    "survey": _cmd_survey,
-}
-
-
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        _HANDLERS[args.command](args)
+        args.handler(args)
     except (SelfCheckError, AssertionError) as exc:
         print(f"self-check failed: {exc}", file=sys.stderr)
         return 1

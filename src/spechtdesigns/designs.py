@@ -16,7 +16,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .linalg import MatZ, solve_integer
+from .linalg import MatZ, _require_word_prime, solve_integer
 from .numtheory import (
     _carries,
     _require_ints,
@@ -191,7 +191,7 @@ def level_design_exists(a: int, b: int, p: int, l: int) -> bool:
     The strict inequality matters: at b = p^(l+1) the binomial C(b, p^l)
     vanishes mod p, so existence does depend on digit l of a.
     """
-    require_odd_prime(p)
+    p = require_odd_prime(p)
     _require_ints((a, b, l), "shape and digit position")
     if not 0 <= l <= p_adic_length(b, p):
         raise ValueError(f"need 0 <= l <= l_p(b), got l={l}, b={b}")
@@ -204,7 +204,7 @@ def wilson_exists(g: int, b: int, t: int, p: int) -> bool:
     Requires t <= b <= g - t. True iff for every i <= t, whenever p divides
     C(b-i, t-i) it also divides C(g-i, t-i).
     """
-    require_odd_prime(p)
+    p = require_odd_prime(p)
     _require_ints((g, b, t), "design parameters")
     if not 0 <= t < b <= g - t:
         raise ValueError(f"need 0 <= t < b <= g - t, got g={g}, b={b}, t={t}")
@@ -219,9 +219,14 @@ def find_t_design_fp(params: DesignParams, target: int) -> Element | None:
     """A t-design with level-t constant `target`, by solving mod p.
 
     Returns the canonical echelon solution (free coordinates zero) from
-    tabloid._level_element, or None when no design exists. target 0 is
-    allowed; the zero element then satisfies it.
+    tabloid._level_element, or None when no design exists. For a target
+    = 0 mod p the system is homogeneous, and its echelon solution is the
+    zero element, returned without building the system.
     """
+    _require_word_prime(params.p)  # refused first, as by _level_element
+    _require_ints((target,), "level targets")
+    if target % params.p == 0:
+        return Element.zero(params.g, params.b, params.p)
     return _level_element(params.g, params.b, params.p, {params.t: target})
 
 
@@ -361,7 +366,7 @@ class PosetX:
 def poset_X(a: int, b: int, p: int) -> PosetX:
     """Compute the level poset of the partition (a, b) mod p."""
     Partition2(a, b)
-    require_odd_prime(p)
+    a, b, p = int(a), int(b), require_odd_prime(p)
     pairs = math.comb(b, 2)  # the component merge visits every pair of members
     if pairs > _MAX_SUBSETS:
         raise ValueError(

@@ -16,16 +16,18 @@ from __future__ import annotations
 import csv
 import io
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .linalg import _require_word_prime
 from .numtheory import (
+    _require_ints,
     all_binoms_divisible_by_digits,
     p_adic_length,
     p_adic_val,
     require_odd_prime,
 )
 from .tabloid import (
+    _COLUMN_BUDGET,
     Partition2,
     _kept_echelon,
     _require_columns,
@@ -46,6 +48,11 @@ __all__ = [
 ]
 
 
+def _fields_json(report) -> dict:
+    """A report dataclass's fields by name, in field order."""
+    return {f.name: getattr(report, f.name) for f in fields(report)}
+
+
 @dataclass(frozen=True, slots=True)
 class Classification:
     """Kind of (a, b) mod p: "james", "pointed", or "neither".
@@ -62,11 +69,8 @@ class Classification:
     bhat: int | None = None
 
     def to_json(self) -> dict:
-        out: dict = {"a": self.a, "b": self.b, "p": self.p, "kind": self.kind}
-        if self.kind == "pointed":
-            out["beta"] = self.beta
-            out["bhat"] = self.bhat
-        return out
+        """The fields, without beta and bhat unless set (bhat may be 0)."""
+        return {k: v for k, v in _fields_json(self).items() if v is not None}
 
 
 def classify(a: int, b: int, p: int) -> Classification:
@@ -80,7 +84,7 @@ def classify(a: int, b: int, p: int) -> Classification:
     neither: everything else.
     """
     Partition2(a, b)
-    require_odd_prime(p)
+    a, b, p = int(a), int(b), require_odd_prime(p)
     if all_binoms_divisible_by_digits(a, b, p):
         return Classification(a, b, p, "james")
     beta = p_adic_length(b, p)
@@ -115,21 +119,10 @@ class H1Report:
         return self.quotient == self.predicted
 
     def to_json(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "p": self.p,
-            "kind": self.kind,
-            "dim_S": self.dim_S,
-            "dim_D": self.dim_D,
-            "f_in_S": self.f_in_S,
-            "quotient": self.quotient,
-            "predicted": self.predicted,
-            "match": self.match,
-        }
+        return {**_fields_json(self), "match": self.match}
 
 
-def brute_force_h1(a: int, b: int, p: int, budget: int = 4000) -> H1Report:
+def brute_force_h1(a: int, b: int, p: int, budget: int = _COLUMN_BUDGET) -> H1Report:
     """Compute the quotient dimension by rank alone.
 
     D = {u : psi_v(u) constant for v = 0..b-1} contains both the kernel
@@ -144,7 +137,7 @@ def brute_force_h1(a: int, b: int, p: int, budget: int = 4000) -> H1Report:
     budget caps C(n, b); larger instances raise before allocating.
     """
     Partition2(a, b)
-    _require_word_prime(p)
+    a, b, p = int(a), int(b), _require_word_prime(p)
     n = a + b
     ncols = _require_columns(n, b, budget)
     system, pivots = _kept_echelon(n, b, p)
@@ -161,7 +154,7 @@ def brute_force_h1(a: int, b: int, p: int, budget: int = 4000) -> H1Report:
     )
 
 
-def survey(n_max: int, primes, budget: int = 4000) -> list[H1Report]:
+def survey(n_max: int, primes, budget: int = _COLUMN_BUDGET) -> list[H1Report]:
     """Brute-force reports for every (a, b) with a + b <= n_max, each prime.
 
     The primes, then the shapes' column counts in sweep order, are checked
@@ -169,6 +162,7 @@ def survey(n_max: int, primes, budget: int = 4000) -> list[H1Report]:
     shape before it is solved; a column refusal names the shape the sweep
     would have stopped at.
     """
+    _require_ints((n_max,), "shape sizes")
     primes = [_require_word_prime(p) for p in primes]
     if primes:
         for a, b in _shapes(n_max):
@@ -183,7 +177,7 @@ def _shapes(n_max: int):
             yield n - b, b
 
 
-def check_main_theorem(n_max: int, primes, budget: int = 4000) -> list[H1Report]:
+def check_main_theorem(n_max: int, primes, budget: int = _COLUMN_BUDGET) -> list[H1Report]:
     """Reports where brute force contradicts the classification.
 
     A report is a discrepancy when the quotient misses the prediction or

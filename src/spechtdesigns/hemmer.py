@@ -23,10 +23,11 @@ from .designs import (
     poset_X,
     spectrum,
 )
-from .h1 import classify
+from .h1 import _fields_json, classify
 from .linalg import _kernel_vector, _require_word_prime
 from .numtheory import _require_ints, binom_mod_p, p_adic_length, p_adic_val, require_odd_prime
 from .tabloid import (
+    _COLUMN_BUDGET,
     Element,
     Partition2,
     _kept_echelon,
@@ -79,16 +80,8 @@ class HemmerReport:
         return self.condition1 and self.some_level_nonzero and self.condition2
 
     def to_json(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "p": self.p,
-            "spectrum": self.spectrum.to_json(),
-            "condition1": self.condition1,
-            "some_level_nonzero": self.some_level_nonzero,
-            "condition2": self.condition2,
-            "is_hemmer": self.is_hemmer,
-        }
+        return {**_fields_json(self), "spectrum": self.spectrum.to_json(),
+                "is_hemmer": self.is_hemmer}
 
 
 def verify_hemmer(u: Element) -> HemmerReport:
@@ -151,7 +144,7 @@ def construct_base_case(a: int, b: int, p: int) -> Element:
     block sums of each level then cancel mod p except at level 0.
     """
     Partition2(a, b)
-    require_odd_prime(p)
+    p = require_odd_prime(p)
     beta = p_adic_length(b, p)
     if b != p**beta:
         raise ValueError(f"b={b} is not a power of {p}")
@@ -282,7 +275,8 @@ def decompose_pointed(w: Element) -> tuple[Element, int]:
     return u, alpha
 
 
-def find_hemmer_by_solver(a: int, b: int, p: int, budget: int = 4000) -> Element | None:
+def find_hemmer_by_solver(a: int, b: int, p: int,
+                          budget: int = _COLUMN_BUDGET) -> Element | None:
     """Search for a qualifying element by pure linear algebra.
 
     One forward elimination, in place, of the level system on the kept
@@ -298,7 +292,7 @@ def find_hemmer_by_solver(a: int, b: int, p: int, budget: int = 4000) -> Element
     constructors; returns None when no qualifying element exists.
     """
     Partition2(a, b)
-    _require_word_prime(p)
+    p = _require_word_prime(p)
     n = a + b
     ncols = _require_columns(n, b, budget)
     m, pivots = _kept_echelon(n, b, p)

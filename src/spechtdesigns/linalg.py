@@ -35,8 +35,10 @@ __all__ = [
 
 
 def _require_word_prime(p: int) -> int:
-    """Validate an odd prime p < 2^31, so int64 products of residues stay exact."""
-    if isinstance(p, int) and p >= 1 << 31:
+    """Validate an odd prime p < 2^31, so int64 products of residues stay
+    exact, and return it as an int."""
+    _require_ints((p,), "moduli")
+    if p >= 1 << 31:
         raise ValueError(f"modulus {p} is too large for int64 residues; need p < 2^31")
     return require_odd_prime(p)
 

@@ -73,9 +73,9 @@ def _require_ints(xs, what: str) -> None:
 
 
 def require_odd_prime(p: int) -> int:
-    """Validate an odd prime modulus p >= 3 and return it."""
-    if not isinstance(p, int) or isinstance(p, bool):
-        raise ValueError(f"modulus must be an int, got {p!r}")
+    """Validate an odd prime modulus p >= 3 and return it as an int."""
+    _require_ints((p,), "moduli")
+    p = int(p)
     if p < 3 or not _is_prime(p):
         raise ValueError(f"modulus must be a prime >= 3, got {p}")
     return p
@@ -112,7 +112,7 @@ class Digits:
 
 def digits_base_p(a: int, p: int) -> Digits:
     """Base-p expansion of a >= 0, least significant digit first."""
-    require_odd_prime(p)
+    p = require_odd_prime(p)
     _require_ints((a,), "digit expansion input")
     if a < 0:
         raise ValueError(f"expected a nonnegative integer, got {a}")
@@ -126,7 +126,7 @@ def digits_base_p(a: int, p: int) -> Digits:
 
 def p_adic_val(a: int, p: int) -> int:
     """Largest e with p^e dividing a, for a >= 1."""
-    require_odd_prime(p)
+    p = require_odd_prime(p)
     _require_ints((a,), "valuation input")
     if a < 1:
         raise ValueError(f"valuation needs a positive integer, got {a}")
@@ -139,7 +139,7 @@ def p_adic_val(a: int, p: int) -> int:
 
 def p_adic_length(a: int, p: int) -> int:
     """Position of the leading base-p digit of a >= 1 (so p^l <= a < p^(l+1))."""
-    require_odd_prime(p)
+    p = require_odd_prime(p)
     if a < 1:
         raise ValueError(f"digit length needs a positive integer, got {a}")
     return len(digits_base_p(a, p)) - 1
@@ -150,7 +150,7 @@ def binom_mod_p(m: int, k: int, p: int) -> int:
 
     Returns 0 for k outside [0, m], matching the usual convention.
     """
-    require_odd_prime(p)
+    p = require_odd_prime(p)
     _require_ints((m, k), "binomial arguments")
     if m < 0:
         raise ValueError(f"expected a nonnegative top argument, got {m}")
@@ -174,7 +174,7 @@ def binom_mod_p(m: int, k: int, p: int) -> int:
 
 def binom_val_p(m: int, k: int, p: int) -> int:
     """p-adic valuation of C(m, k) by Kummer: carries when adding k + (m-k)."""
-    require_odd_prime(p)
+    p = require_odd_prime(p)
     _require_ints((m, k), "binomial arguments")
     if not 0 <= k <= m:
         raise ValueError(f"need 0 <= k <= m, got k={k}, m={m}")
@@ -201,7 +201,7 @@ def all_binoms_divisible(a: int, b: int, p: int) -> bool:
     Ground truth by direct loop, O(b) calls to binom_mod_p. Callers should
     use the O(log b) digit form below; the tests cross-check the two.
     """
-    require_odd_prime(p)
+    p = require_odd_prime(p)
     _require_ints((a, b), "shape arguments")
     if a < 0 or b < 0:
         raise ValueError(f"need nonnegative a, b; got a={a}, b={b}")
@@ -210,7 +210,7 @@ def all_binoms_divisible(a: int, b: int, p: int) -> bool:
 
 def all_binoms_divisible_by_digits(a: int, b: int, p: int) -> bool:
     """Digit criterion for the same family: a = -1 mod p^(l_p(b)+1), b >= 1."""
-    require_odd_prime(p)
+    p = require_odd_prime(p)
     _require_ints((a, b), "shape arguments")
     if a < 0 or b < 1:
         raise ValueError(f"need a >= 0 and b >= 1; got a={a}, b={b}")

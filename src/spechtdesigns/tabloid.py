@@ -91,7 +91,9 @@ _MAX_CELLS = 1 << 27
 
 
 def _require_listable(n: int, k: int) -> int:
-    """Return C(n, k); refuse n above _MAX_GROUND, then C(n, k) above _MAX_SUBSETS."""
+    """Return C(n, k); refuse n and k that are not ints, n above _MAX_GROUND,
+    then C(n, k) above _MAX_SUBSETS."""
+    _require_ints((n, k), "subset sizes")
     if not 0 <= k <= n <= _MAX_GROUND:
         raise ValueError(f"need 0 <= k <= n <= {_MAX_GROUND}, got n={n}, k={k}")
     size = math.comb(n, k)
@@ -100,8 +102,13 @@ def _require_listable(n: int, k: int) -> int:
     return size
 
 
+# Default column budget of the solvers that eliminate a whole level system.
+_COLUMN_BUDGET = 4000
+
+
 def _require_columns(n: int, b: int, budget: int) -> int:
-    """Return C(n, b); refuse it above a solver's column budget."""
+    """Return C(n, b); refuse a budget that is not an int, then C(n, b) above it."""
+    _require_ints((budget,), "column budgets")
     ncols = math.comb(n, b)
     if ncols > budget:
         raise ValueError(f"C({n}, {b}) = {ncols} exceeds the budget of {budget} columns")
@@ -125,9 +132,13 @@ class Partition2(object):
         return self.a + self.b
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def subsets_colex(n: int, k: int) -> np.ndarray:
-    """All k-subset masks of [n] in colex (= numeric) order, read-only."""
+    """All k-subset masks of [n] in colex (= numeric) order, read-only.
+
+    The cache is typed, so 5.0 and True do not hit the entries of 5 and 1
+    and are refused by _require_listable.
+    """
     _require_listable(n, k)
     row = {0: np.zeros(1, dtype=np.int64)}  # row m maps j to listing(m, j)
     for m in range(1, n + 1):
@@ -213,7 +224,7 @@ class Element:
     __slots__ = ("n", "b", "p", "vec")
 
     def __init__(self, n: int, b: int, p: int, vec):
-        _require_word_prime(p)
+        p = _require_word_prime(p)
         if b < 1:
             raise ValueError(f"need b >= 1, got b={b}")
         want = _require_listable(n, b)
@@ -221,8 +232,8 @@ class Element:
         if arr.shape != (want,):
             raise ValueError(f"coefficient vector must have length C({n},{b}) = {want}")
         arr = arr % p
-        self.n = n
-        self.b = b
+        self.n = int(n)
+        self.b = int(b)
         self.p = p
         self.vec = arr
 
@@ -384,9 +395,10 @@ def psi_levels(n: int, b: int, vec, v: int = 0) -> list[np.ndarray]:
 
     Entry k - v of the returned list is psi_k(vec); the last entry is vec
     itself. Entries are Python ints (object dtype) when the int64 bound
-    would not hold. vec and v must hold ints or numpy integers: floats and
-    bools are refused, and ints past int64 are read as Python ints.
+    would not hold. n, b, v and vec must hold ints or numpy integers: floats
+    and bools are refused, and ints past int64 are read as Python ints.
     """
+    _require_ints((n, b), "subset sizes")
     _require_ints((v,), "level")
     if not 0 <= v <= b:
         raise ValueError(f"need 0 <= v <= b, got v={v}, b={b}")
@@ -444,6 +456,7 @@ def constant_level_system(n: int, b: int, levels) -> np.ndarray:
     v-subset at those positions.
     """
     lv = list(levels)
+    _require_ints(lv, "levels")
     ncols = _require_listable(n, b)
     heights = [math.comb(n, v) for v in lv]
     rows, width = sum(heights), ncols + len(lv)
@@ -499,7 +512,7 @@ def _level_element(n: int, b: int, p: int, targets: Mapping[int, int]) -> Elemen
     from its scalar coordinates preset to the targets. None when a scalar
     pivot row, zero on the element columns, moves a preset: no element fits.
     """
-    _require_word_prime(p)
+    p = _require_word_prime(p)
     _require_ints(targets.values(), "level targets")
     m, pivots = _kept_echelon(n, b, p, list(targets))
     ncols = math.comb(n, b)
@@ -524,7 +537,7 @@ def specht_dim(a: int, b: int, p: int) -> int:
     _kept_echelon.
     """
     lam = Partition2(a, b)
-    _require_word_prime(p)
+    p = _require_word_prime(p)
     ncols = math.comb(lam.n, b)
     return ncols - bisect_left(_kept_echelon(lam.n, b, p)[1], ncols)
 
@@ -542,7 +555,7 @@ def _check_partition(parts) -> tuple[int, ...]:
 
 def james_check(parts, p: int) -> bool:
     """Whether p divides C(parts[i] + j, j) for all i and 1 <= j <= parts[i+1]."""
-    require_odd_prime(p)
+    p = require_odd_prime(p)
     ps = _check_partition(parts)
     return all(
         all_binoms_divisible(ps[i], ps[i + 1], p) for i in range(len(ps) - 1)

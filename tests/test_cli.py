@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -11,7 +12,7 @@ import spechtdesigns
 from spechtdesigns import cli
 from spechtdesigns.cli import main
 from spechtdesigns.hemmer import SelfCheckError, construct_auto
-from spechtdesigns.tabloid import element_to_json
+from spechtdesigns.tabloid import element_to_json, element_to_text
 
 
 def run_cli(capsys, *args):
@@ -129,6 +130,30 @@ def test_construct_neither_exits_2(capsys):
         capsys, "construct", "--a", "5", "--b", "3", "--p", "3", "--method", "solve"
     )
     assert rc == 2
+
+
+def test_every_construct_method_dispatches_to_its_entry(capsys, monkeypatch):
+    table = {"auto": "construct_auto", "base": "construct_base_case",
+             "james": "construct_james", "pointed": "construct_pointed",
+             "solve": "find_hemmer_by_solver"}
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    method = next(a for a in sub.choices["construct"]._actions if a.dest == "method")
+    assert method.choices == list(table)
+    u = construct_auto(4, 3, 3)
+    calls = []
+    for name in table.values():
+        monkeypatch.setattr(cli, name, lambda a, b, p, name=name: calls.append((name, a, b, p)) or u)
+    for choice, name in table.items():
+        rc, out, err = run_cli(capsys, "construct", "--a", "4", "--b", "3", "--p", "3",
+                               "--method", choice)
+        assert (rc, out, err) == (0, element_to_text(u) + "\n", "")
+        assert calls.pop() == (name, 4, 3, 3) and not calls
+    monkeypatch.setattr(cli, "find_hemmer_by_solver", lambda a, b, p: None)
+    rc, out, err = run_cli(capsys, "construct", "--a", "4", "--b", "3", "--p", "3",
+                           "--method", "solve")
+    assert (rc, out) == (2, "")
+    assert err == "error: no qualifying element exists for (a=4, b=3) mod 3\n"
 
 
 def test_construct_self_check_failure_exits_1(capsys, monkeypatch):

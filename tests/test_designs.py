@@ -341,6 +341,8 @@ def test_null_generator_strength_and_validation():
     for t in (1.0, True):
         with pytest.raises(ValueError, match="must be ints"):
             null_design_generator(6, 3, t, [(1, 2), (3, 4)], (5,))
+    with pytest.raises(ValueError, match="must be ints"):  # 5.0 raised TypeError
+        null_design_generator(5.0, 2, 1, [(1, 2), (3, 4)])
 
 
 def test_null_generator_matches_block_loop():
@@ -471,3 +473,23 @@ def test_nonzero_spectrum_levels_lie_in_poset():
             assert s.universal
             hot = {v for v, mu in enumerate(s.levels) if mu}
             assert hot <= members
+
+
+def test_numpy_moduli_and_parts_are_read_as_ints():
+    # a numpy modulus was refused with "modulus must be an int"
+    assert DesignParams(6, 3, 1, np.int64(3)) == DesignParams(6, 3, 1, 3)
+    px = poset_X(np.int64(11), np.int64(10), np.int64(3))
+    assert all(type(x) is int for x in (px.a, px.b, px.p)) and px == poset_X(11, 10, 3)
+
+
+def test_zero_target_needs_no_solve(monkeypatch):
+    # each eliminated its whole level system to return the zero element;
+    # (16, 8, 7, 3) was refused by the cell guard of its level system
+    def refuse(m, p):
+        raise AssertionError("eliminated a homogeneous system")
+    monkeypatch.setattr(tabloid, "_eliminate", refuse)
+    for g, b, t, p, target in ((13, 6, 5, 3, 0), (13, 6, 5, 3, 3), (9, 4, 2, 5, -10),
+                               (16, 8, 7, 3, 0)):
+        assert find_t_design_fp(DesignParams(g, b, t, p), target) == Element.zero(g, b, p)
+    with pytest.raises(ValueError, match="too large for int64 residues"):
+        find_t_design_fp(DesignParams(9, 4, 2, 2147483659), 0)

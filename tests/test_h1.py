@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import math
 import tracemalloc
 
@@ -53,12 +54,12 @@ def test_classify_validation():
 
 
 def test_classify_json():
-    assert classify(3, 3, 3).to_json() == {
-        "a": 3, "b": 3, "p": 3, "kind": "pointed", "beta": 1, "bhat": 0,
-    }
-    assert classify(5, 3, 3).to_json() == {
-        "a": 5, "b": 3, "p": 3, "kind": "neither",
-    }
+    # as text, so the key order is pinned too
+    assert json.dumps(classify(3, 3, 3).to_json()) == (
+        '{"a": 3, "b": 3, "p": 3, "kind": "pointed", "beta": 1, "bhat": 0}')
+    assert json.dumps(classify(8, 3, 3).to_json()) == '{"a": 8, "b": 3, "p": 3, "kind": "james"}'
+    assert json.dumps(classify(5, 3, 3).to_json()) == (
+        '{"a": 5, "b": 3, "p": 3, "kind": "neither"}')
 
 
 def test_predicted_h1():
@@ -122,11 +123,9 @@ def test_dim_gap_tracks_kind_small():
 
 
 def test_report_json():
-    doc = brute_force_h1(3, 3, 3).to_json()
-    assert doc == {
-        "a": 3, "b": 3, "p": 3, "kind": "pointed", "dim_S": 5, "dim_D": 7,
-        "f_in_S": False, "quotient": 1, "predicted": 1, "match": True,
-    }
+    assert json.dumps(brute_force_h1(3, 3, 3).to_json()) == (
+        '{"a": 3, "b": 3, "p": 3, "kind": "pointed", "dim_S": 5, "dim_D": 7, '
+        '"f_in_S": false, "quotient": 1, "predicted": 1, "match": true}')
 
 
 def test_survey_refuses_before_it_solves(monkeypatch):
@@ -221,3 +220,26 @@ def test_self_check_errors_name_the_shape(monkeypatch):
                         lambda n, k, w: np.ones(math.comb(n, k - 1), dtype=w.dtype))
     with pytest.raises(AssertionError, match=r"from level 3 to 2 \(n=6, b=4\)"):
         psi_levels(6, 4, np.ones(math.comb(6, 4), dtype=np.int64))
+
+
+def test_numpy_arguments_give_the_same_json():
+    # numpy parts were stored as given, so json.dumps raised TypeError,
+    # and a numpy modulus was refused
+    for a, b, p in ((5, 2, 3), (3, 3, 3), (8, 3, 3), (4, 1, 5)):
+        args = tuple(map(np.int64, (a, b, p)))
+        assert json.dumps(classify(*args).to_json()) == json.dumps(classify(a, b, p).to_json())
+        assert (json.dumps(brute_force_h1(*args).to_json())
+                == json.dumps(brute_force_h1(a, b, p).to_json()))
+    assert classify(5, 2, np.int64(3)) == classify(5, 2, 3)
+
+
+def test_sizes_and_budgets_must_be_ints():
+    # survey(True, [3]) returned [], budget=4000.5 ran, budget=True was read
+    # as one column, and 12.5 or None raised TypeError
+    for call in (lambda: survey(True, [3]), lambda: survey(12.5, [3]),
+                 lambda: survey(5, [3], budget=None),
+                 lambda: brute_force_h1(4, 2, 3, budget=4000.5),
+                 lambda: brute_force_h1(4, 2, 3, budget=True)):
+        with pytest.raises(ValueError, match="must be ints"):
+            call()
+    assert brute_force_h1(4, 2, 3, budget=np.int64(15)) == brute_force_h1(4, 2, 3)

@@ -110,6 +110,8 @@ def test_verify_hemmer_on_reference_elements():
     with pytest.raises(ValueError):
         verify_hemmer(Element.ones(4, 3, 3))  # b > a
     doc = verify_hemmer(f).to_json()
+    assert list(doc) == ["a", "b", "p", "spectrum", "condition1", "some_level_nonzero",
+                         "condition2", "is_hemmer"]  # the key order json.dumps keeps
     assert doc["is_hemmer"] is False and doc["condition1"] is True
     assert doc["spectrum"]["levels"][0] == {"v": 0, "constant": True, "mu": 2}
 
@@ -426,3 +428,10 @@ def test_solver_self_check_names_the_shape_and_spectrum(monkeypatch):
 
 def test_self_check_error_is_runtime_error():
     assert issubclass(SelfCheckError, RuntimeError)
+
+
+def test_numpy_shape_gives_the_same_json():
+    # the witness kept numpy n and b, so json.dumps of either document raised TypeError
+    u, want = construct_auto(np.int64(5), np.int64(1), 3), construct_auto(5, 1, 3)
+    assert json.dumps(element_to_json(u)) == json.dumps(element_to_json(want))
+    assert json.dumps(verify_hemmer(u).to_json()) == json.dumps(verify_hemmer(want).to_json())

@@ -312,8 +312,9 @@ def test_solve_matches_rref_on_level_systems(monkeypatch):
     g <= 10, 0 <= t < b < g, targets 0, 1, 2 and p in {3, 5, 7}, the james
     benchmark shapes and (8, 5, 3) give the RREF's canonical solution of
     W x = targets, or None exactly where the RREF finds a pivot in the rhs
-    column."""
+    column. Target 0 gives it, the zero element, without a level solve."""
     solved = {True: 0, False: 0}
+    homogeneous = 0
     real = tabloid._level_element
 
     def checked(n, b, p, targets):
@@ -336,11 +337,18 @@ def test_solve_matches_rref_on_level_systems(monkeypatch):
             for b in range(1, g):
                 for t in range(b):
                     for target in (0, 1, 2):
-                        find_t_design_fp(DesignParams(g, b, t, p), target)
-    assert solved == {True: 1321, False: 164}  # 1485 systems
+                        before = dict(solved)
+                        u = find_t_design_fp(DesignParams(g, b, t, p), target)
+                        if target == 0:
+                            assert solved == before
+                            system = constant_level_system(g, b, [t])
+                            system[:, -1] = 0
+                            assert np.array_equal(u.vec, canonical_solution(system, p))
+                            homogeneous += 1
+    assert solved == {True: 826, False: 164} and homogeneous == 495  # 1485 systems
     for a, b, p in JAMES_BENCH + ((8, 5, 3),):
         construct_james(a, b, p)
-    assert solved == {True: 1321 + len(JAMES_BENCH) + 1, False: 164}
+    assert solved == {True: 826 + len(JAMES_BENCH) + 1, False: 164}
 
 
 @pytest.mark.parametrize("n,b,levels", [(9, 4, (0, 1, 2, 3)), (10, 5, (1, 3, 4)), (8, 3, (0, 2))])

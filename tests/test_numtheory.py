@@ -35,6 +35,14 @@ def test_require_odd_prime():
     for bad in [-3, 0, 1, 2, 4, 9, 15]:
         with pytest.raises(ValueError):
             require_odd_prime(bad)
+    # numpy moduli were refused with "modulus must be an int"
+    for p in (np.int64(3), np.int32(5), np.uint16(7)):
+        q = require_odd_prime(p)
+        assert q == p and type(q) is int
+    assert binom_mod_p(5, 2, np.int64(3)) == 1
+    for bad in (3.0, True, np.float64(3), "3"):
+        with pytest.raises(ValueError, match="must be ints"):
+            require_odd_prime(bad)
 
 
 def _is_prime_by_division(n: int) -> bool:
@@ -204,3 +212,4 @@ def test_divisibility_edge_cases():
         all_binoms_divisible(8, 2.0, 3)
     with pytest.raises(ValueError, match="must be ints"):
         all_binoms_divisible_by_digits(8.0, 1, 3)
+

@@ -811,3 +811,29 @@ def test_json_round_trip_random(n, data, p):
     )
     u = Element(n, b, p, vec)
     assert element_from_json(element_to_json(u)) == u
+
+
+def test_numpy_shape_parts_are_stored_as_ints():
+    # the element kept numpy n, b and p, so json.dumps of its JSON raised TypeError
+    vec = np.arange(10)
+    u = Element(np.int64(5), np.int64(2), np.int64(3), vec)
+    assert all(type(x) is int for x in (u.n, u.b, u.p))
+    assert json.dumps(element_to_json(u)) == json.dumps(element_to_json(Element(5, 2, 3, vec)))
+    assert f_lambda(3, 2, np.int64(5)) == f_lambda(3, 2, 5)
+    with pytest.raises(ValueError, match="too large for int64 residues"):
+        Element(5, 2, np.int64(2147483659), vec)
+
+
+def test_sizes_and_levels_must_be_ints():
+    # bools were read as ints, and floats raised TypeError from math.comb
+    # or a comparison; the listings of (1, 1) and (5, 2) are cached first
+    vec = np.arange(10)
+    subsets_colex(1, 1), subsets_colex(5, 2)
+    for call in (lambda: subsets_colex(True, 1), lambda: subsets_colex(5.0, 2),
+                 lambda: Element.zero(True, 1, 3), lambda: Element(5.0, 2, 3, vec),
+                 lambda: psi_levels(5.0, 2, vec), lambda: psi_levels(5, 2.0, vec),
+                 lambda: constant_level_system(5, 2, [True]),
+                 lambda: constant_level_system(5, 2, [1.0]),
+                 lambda: tabloid._level_element(5, 2, 3, {1.5: 1})):
+        with pytest.raises(ValueError, match="must be ints"):
+            call()
