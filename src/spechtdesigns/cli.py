@@ -7,9 +7,10 @@ subparser, and main calls the handler the parse returns; construct's
 _construct_methods. construct writes its element through
 tabloid.element_to_text, which gives exactly the bytes of
 json.dumps(element_to_json(u), indent=...) without building the dict;
-verify reads it back through tabloid.element_from_text, which decodes that
-layout in one pass and any other text as json.loads and element_from_json
-would, with their errors.
+verify reads it back through tabloid.element_from_text, which reads the
+digit runs of a text as an element and takes it when element_to_text
+writes that element back byte for byte, and reads any other text as
+json.loads and element_from_json would, with their errors.
 Exit codes: 0 success, 2 invalid input or an input too large to hold in
 memory, 1 a constructed object failed its own verification.
 """

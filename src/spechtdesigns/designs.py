@@ -19,6 +19,7 @@ import numpy as np
 from .linalg import MatZ, _require_word_prime, solve_integer
 from .numtheory import (
     _carries,
+    _int_vector,
     _require_ints,
     binom_mod_p,
     digits_base_p,
@@ -125,11 +126,8 @@ class Spectrum:
 
 def constant_value(arr) -> int | None:
     """The common entry of a vector of ints, or None if entries differ;
-    as in psi_levels, floats and bools are refused."""
-    a = np.asarray(arr)
-    if a.dtype.kind not in "iu" or not isinstance(arr, np.ndarray):
-        a = np.asarray(arr, dtype=object)
-        _require_ints(a.flat, "vector entries")
+    read by _int_vector, so floats and bools are refused."""
+    a = _int_vector(arr, "vector entries")
     if a.size == 0:
         return 0
     first = a.flat[0]

@@ -193,10 +193,12 @@ def check_main_theorem(n_max: int, primes, budget: int = _COLUMN_BUDGET) -> list
 
 
 def survey_csv(reports) -> str:
-    """Render reports as CSV with a fixed header; beta and bhat blank unless pointed."""
+    """Render reports as CSV with the columns of Classification, then H1Report's
+    others and match; beta and bhat blank unless pointed."""
     buf = io.StringIO()
-    w = csv.DictWriter(buf, ["a", "b", "p", "kind", "beta", "bhat", "dim_S", "dim_D",
-                             "f_in_S", "quotient", "predicted", "match"], lineterminator="\n")
+    names = [f.name for f in fields(Classification)]
+    names += [f.name for f in fields(H1Report) if f.name not in names] + ["match"]
+    w = csv.DictWriter(buf, names, lineterminator="\n")
     w.writeheader()
     for r in reports:
         c = classify(r.a, r.b, r.p)

@@ -72,6 +72,16 @@ def _require_ints(xs, what: str) -> None:
             raise ValueError(f"{what} must be ints, got {x!r}")
 
 
+def _int_vector(x, what: str) -> np.ndarray:
+    """x as is if an int or uint ndarray, else as an object array checked by
+    _require_ints, since numpy reads True as 1 and ints past int64 as floats."""
+    arr = np.asarray(x)
+    if arr.dtype.kind not in "iu" or not isinstance(x, np.ndarray):
+        arr = np.asarray(x, dtype=object)
+        _require_ints(arr.flat, what)
+    return arr
+
+
 def require_odd_prime(p: int) -> int:
     """Validate an odd prime modulus p >= 3 and return it as an int."""
     _require_ints((p,), "moduli")

@@ -9,20 +9,22 @@ The block index works on whole arrays, and it has one rank and one
 unrank. _rank gives the colex index of ascending members c_1 < ... < c_r
 by the combinatorial number system, sum C(c_i - 1, i) (Knuth, TAOCP 4A,
 7.2.1.3), read from the constant table _BINOM, so no lookup needs a
-listing or a search; _ranks is the one place that validates member rows
-before they are ranked. _members maps indices back to member rows from
-the masks of subsets_colex, which builds each listing by the Pascal
-recursion: the k-subsets of [n] without n, then those with n,
-listing(n, k) = listing(n-1, k) ++ (listing(n-1, k-1) | 2^(n-1)), one
-row of the triangle at a time; only the listings asked for are kept.
+listing or a search; _ranks validates member rows before they are
+ranked, but for the text decoder's, where an invalid row does not write
+back. _members maps indices back to member rows from the masks of
+subsets_colex, which builds each listing by the Pascal recursion: the
+k-subsets of [n] without n, then those with n, listing(n, k) =
+listing(n-1, k) ++ (listing(n-1, k-1) | 2^(n-1)), one row of the
+triangle at a time; only the listings asked for are kept.
 element_to_json is the element's JSON form as a dict; element_to_text
 writes the same document as text, equal byte for byte to json.dumps of
 the dict, and formats no number per entry: each slot of one template is
 written from a byte table of the values it can hold, each followed by the
 fixed text after the slot. _layout cuts that template from json.dumps
-of documents whose numbers are slots, and element_from_text inverts it:
-it checks a text against the template and reads its digit runs into one
-int64 array, and hands any other text to json.loads and element_from_json.
+of documents whose numbers are slots, and _text_chunks, the one encoder,
+fills it. element_from_text reads a text's digit runs as an element and
+takes it only if _text_chunks writes that element back byte for byte,
+and hands any other text to json.loads and element_from_json.
 
 psi_v sends a b-subset to the formal sum of its v-subsets. Its matrix is
 the 0/1 inclusion matrix W_{v,b} of v-subsets into b-subsets. One walk
@@ -59,7 +61,7 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from .linalg import _eliminate, _int64_array, _kernel_vector, _require_word_prime
-from .numtheory import _require_ints, all_binoms_divisible, require_odd_prime
+from .numtheory import _int_vector, _require_ints, all_binoms_divisible, require_odd_prime
 
 __all__ = [
     "Partition2",
@@ -402,11 +404,7 @@ def psi_levels(n: int, b: int, vec, v: int = 0) -> list[np.ndarray]:
     _require_ints((v,), "level")
     if not 0 <= v <= b:
         raise ValueError(f"need 0 <= v <= b, got v={v}, b={b}")
-    w = np.asarray(vec)
-    if w.dtype.kind not in "iu" or not isinstance(vec, np.ndarray):
-        # item by item: numpy reads True as 1 and ints past int64 as floats
-        w = np.asarray(vec, dtype=object)
-        _require_ints(w.flat, "coefficients")
+    w = _int_vector(vec, "coefficients")
     if w.shape != (math.comb(n, b),):
         raise ValueError("coefficient vector has the wrong length")
     # exact on Python ints: np.abs would wrap at the int64 minimum
@@ -450,14 +448,17 @@ def constant_level_system(n: int, b: int, levels) -> np.ndarray:
     each level v; u determines c, so the kernel dimension equals the
     dimension of the constant-level space.
 
-    Refuses more than _MAX_CELLS cells, then allocates the array once and
-    writes each block in place: every v-combination of member positions
-    is one scatter, over all b-subsets at once, to the _rank of the
-    v-subset at those positions.
+    Refuses a level outside 0..b, then more than _MAX_CELLS cells, then
+    allocates the array once and writes each block in place: every
+    v-combination of member positions is one scatter, over all b-subsets
+    at once, to the _rank of the v-subset at those positions.
     """
     lv = list(levels)
     _require_ints(lv, "levels")
     ncols = _require_listable(n, b)
+    for v in lv:
+        if not 0 <= v <= b:
+            raise ValueError(f"need 0 <= v <= b, got v={v}, b={b}")
     heights = [math.comb(n, v) for v in lv]
     rows, width = sum(heights), ncols + len(lv)
     if rows * width > _MAX_CELLS:
@@ -579,17 +580,15 @@ def element_to_json(u: Element) -> dict:
     }
 
 
-def _layout(b: int, m: int, indent: int | None) -> tuple[str, str, str, str]:
-    """The element text's template for b and m support blocks: (head, entry, sep, tail).
+def _layout(b: int, indent: int | None) -> tuple[str, str, str, str]:
+    """The text template of an element of block size b with support: (head, entry, sep, tail).
 
-    The text is head + sep.join([entry] * m) + tail, its 3 + m(b+1) %d
-    slots filled by p, a, b and then each block's b members and
-    coefficient. The pieces are cut from json.dumps(..., indent=indent) of
-    documents whose numbers are all -1, each -1 then made a %d slot: the
-    entries [0, 0] split on "0" into head, sep and tail, one block fills
-    the entry between them, and [] gives the head and tail for m = 0.
-    entry and sep are those of a block even then: the decoder reads its
-    slot offsets from entry.
+    The text of m >= 1 support blocks is head + sep.join([entry] * m) +
+    tail, its 3 + m(b+1) %d slots filled by p, a, b and then each block's
+    b members and coefficient. The pieces are cut from
+    json.dumps(..., indent=indent) of documents whose numbers are all -1,
+    each -1 then made a %d slot: the entries [0, 0] split on "0" into
+    head, sep and tail, and one block fills the entry between them.
     """
     def dump(entries: list) -> str:
         doc = {"p": -1, "a": -1, "b": -1, "entries": entries}
@@ -597,9 +596,6 @@ def _layout(b: int, m: int, indent: int | None) -> tuple[str, str, str, str]:
 
     head, sep, tail = dump([0, 0]).split("0")
     entry = dump([{"set": [-1] * b, "coeff": -1}])[len(head):-len(tail)]
-    if not m:
-        start, end = dump([]).split("[]")
-        head, tail = start + "[", "]" + end
     return head, entry, sep, tail
 
 
@@ -615,10 +611,11 @@ def _slot_table(values, text: str) -> np.ndarray:
     return np.array([b"%d%s" % (v, suffix) for v in values])
 
 
-def element_to_text(u: Element, indent: int | None = None) -> str:
-    """element_to_json(u) as text: exactly json.dumps(element_to_json(u), indent=indent).
+def _text_chunks(u: Element, indent: int | None) -> Iterator[bytes]:
+    """json.dumps(element_to_json(u), indent=indent) as ASCII bytes, in pieces.
 
-    No number is formatted per entry. In the _layout entry, each %d slot is
+    The empty element's text is that json.dumps itself. Otherwise no
+    number is formatted per entry. In the _layout entry, each %d slot is
     followed by fixed text, so a slot is written from a byte table: the
     digits of every value it can hold, each followed by that text. A
     coefficient's text runs on through the entry separator to the start of
@@ -626,60 +623,58 @@ def element_to_text(u: Element, indent: int | None = None) -> str:
     member and last member, indexed by 0..n, and coefficient, indexed by the
     distinct coefficients. Each support block is one structured record with
     one fixed-width field per slot, gathered from its table. The records'
-    bytes, with the fields' NUL padding deleted, are the entries; they are
-    encoded _TEXT_BLOCK records at a time and joined, and the last entry's
-    run-on text is trimmed.
+    bytes, with the fields' NUL padding deleted, are the entries; each
+    piece holds _TEXT_BLOCK of them, and the last entry's run-on text is
+    trimmed.
     """
     idx = np.flatnonzero(u.vec)
-    head, entry, sep, tail = _layout(u.b, len(idx), indent)
-    head %= (u.p, u.a, u.b)
     if not len(idx):
-        return head + tail
+        yield json.dumps(element_to_json(u), indent=indent).encode("ascii")
+        return
+    head, entry, sep, tail = _layout(u.b, indent)
     first, *after = entry.split("%d")  # after[j]: the fixed text after slot j
     coeffs, which = np.unique(u.vec[idx], return_inverse=True)
     ground = {text: _slot_table(range(u.n + 1), text) for text in set(after[:-1])}
     tables = [ground[text] for text in after[:-1]]
     tables.append(_slot_table(coeffs.tolist(), after[-1] + sep + first))
     fields = [(f"s{j}", t.dtype) for j, t in enumerate(tables)]
-    parts = [(head + first).encode("ascii")]
+    yield (head % (u.p, u.a, u.b) + first).encode("ascii")
     for at in range(0, len(idx), _TEXT_BLOCK):
         block = slice(at, at + _TEXT_BLOCK)
         rec = np.empty(len(idx[block]), dtype=fields)
         for j, col in enumerate(_members(u.n, u.b, idx[block]).T):
             rec[f"s{j}"] = tables[j][col]
         rec[f"s{u.b}"] = tables[-1][which[block]]
-        parts.append(rec.tobytes().translate(None, b"\0"))
-    parts[-1] = parts[-1][:-len(sep + first)]  # the last entry ends at its "}"
-    parts.append(tail.encode("ascii"))
-    data = b"".join(parts)
-    del parts  # the text is held at most twice: as bytes, then as str
-    return data.decode("ascii")
+        chunk = rec.tobytes().translate(None, b"\0")
+        # the last entry ends at its "}"
+        yield chunk if at + _TEXT_BLOCK < len(idx) else chunk[:-len(sep + first)]
+    yield tail.encode("ascii")
 
 
-_DIGITS = b"0123456789"
-_DIGIT_FLAGS = bytes(c in _DIGITS for c in range(256))  # bytes.translate: digits to 1, else 0
+def element_to_text(u: Element, indent: int | None = None) -> str:
+    """json.dumps(element_to_json(u), indent=indent), joined from _text_chunks."""
+    return b"".join(_text_chunks(u, indent)).decode("ascii")
+
+
+_DIGIT_FLAGS = bytes(c in b"0123456789" for c in range(256))  # for translate: digits to 1
 _MAX_DIGITS = 18  # every run of at most 18 digits is exact in int64
 _INT32_MAX = (1 << 31) - 1
-
-
-def _slot_offsets(template: str) -> np.ndarray:
-    """Where each %d slot of template sits in the template without its slots."""
-    return np.cumsum([len(piece) for piece in template.split("%d")[:-1]], dtype=np.int32)
 
 
 def _canonical_element(text: str) -> Element | None:
     """The element if text is element_to_text(u, indent) for indent None or 2, else None.
 
-    Digit check: every run of digits has at most _MAX_DIGITS digits and no
-    leading zero, so it reads exactly into int64. Slot check: there are
-    3 + m(b+1) runs, and each sits in its slot of _layout(b, m, indent).
-    Layout check: the text without its digits is that template without its
-    slots. The text is then the template filled with the runs, which
-    json.loads reads as the same numbers, and the checks element_from_json
-    makes on them follow on arrays. None hands any text that fails one to
-    that route. Temporaries are freed as soon as they are used, and byte
-    positions are held in int32 and run lengths (checked first) in int8,
-    to keep the peak below that of the json route.
+    The digit runs are read as p, a, b and each block's b members and
+    coefficient, and the text is taken only if _text_chunks writes that
+    element back as the stripped text byte for byte, so json.loads reads
+    it as element_to_json of the element. Checked first, so that no number
+    is misread and nothing raises: runs of at most _MAX_DIGITS digits
+    (exact in int64), a word-size prime, a listable shape, whole blocks,
+    members in [1, n], ranks below C(n, b) and coefficients below p. A
+    leading zero, an unsorted or repeated row or a zero coefficient does
+    not write back. Temporaries are freed as soon as they are used, and
+    byte positions are held in int32 and run lengths (checked first) in
+    int8, to keep the peak below that of the json route.
     """
     if not text.isascii():
         return None
@@ -688,8 +683,9 @@ def _canonical_element(text: str) -> Element | None:
         return None  # so that every run of digits starts and ends inside
     if len(data) > _INT32_MAX:
         return None  # so that every position fits the int32 arrays below
-    # the last byte before each change between digit and non-digit
-    edges = np.flatnonzero(np.diff(np.frombuffer(data.translate(_DIGIT_FLAGS), dtype=np.int8)))
+    # the last byte before each change between digit and non-digit; np.diff
+    # of bools is their not_equal, whose flatnonzero is twice that of int8's
+    edges = np.flatnonzero(np.diff(np.frombuffer(data.translate(_DIGIT_FLAGS), dtype=bool)))
     lengths = edges[1::2] - edges[0::2]
     if len(lengths) < 3 or lengths.max() > _MAX_DIGITS:
         return None
@@ -698,14 +694,11 @@ def _canonical_element(text: str) -> Element | None:
     del edges
     byte = np.frombuffer(data, dtype=np.uint8)
     zero = ord("0")
-    if ((byte[starts] == zero) & (lengths > 1)).any():
-        return None
     nums = byte[starts].astype(np.int64) - zero
     for j in range(1, int(lengths.max())):  # one pass per digit position
         live = np.flatnonzero(lengths > j)
         nums[live] = nums[live] * 10 + byte[starts[live] + j] - zero
-    bare = data.translate(None, _DIGITS)
-    del data, byte
+    del starts, lengths, byte
     p, a, b = nums[:3].tolist()
     if b < 1:
         return None
@@ -717,44 +710,33 @@ def _canonical_element(text: str) -> Element | None:
     m, extra = divmod(len(nums) - 3, b + 1)
     if extra:
         return None
-    template = _layout(b, m, 2 if bare[1:2] == b"\n" else None)
-    head, entry, sep, tail = (t.replace("%d", "").encode() for t in template)
-    # bare == head + sep.join([entry] * m) + tail, compared in place
-    want = len(head) + m * len(entry) + max(m - 1, 0) * len(sep) + len(tail)
-    if not (len(bare) == want and bare.startswith(head)
-            and bare.endswith(entry + tail if m else tail)
-            and bare.startswith((entry + sep) * (m - 1), len(head))):
-        return None
-    del bare
-    at = starts - np.cumsum(lengths, dtype=np.int32)  # where each run sits in the text without digits
-    at += lengths
-    del starts, lengths
-    slots = (len(head) + (len(entry) + len(sep)) * np.arange(m, dtype=np.int32)[:, None]
-             + _slot_offsets(template[1]))
-    if not (np.array_equal(at[:3], _slot_offsets(template[0]))
-            and np.array_equal(at[3:].reshape(m, b + 1), slots)):
-        return None
-    del at, slots
     rows = nums[3:].reshape(m, b + 1)
-    if m and rows[:, -1].max() >= p:
+    members, coeffs = rows[:, :-1], rows[:, -1]
+    if members.min(initial=1) < 1 or members.max(initial=1) > a + b or coeffs.max(initial=0) >= p:
         return None
-    try:
-        idx = _ranks(a + b, b, rows[:, :-1])
-    except ValueError:
+    idx = _rank(members)
+    if idx.max(initial=0) >= size:
         return None
     vec = np.zeros(size, dtype=np.int64)
-    vec[idx] = rows[:, -1]
-    return Element._of_residues(a + b, b, p, vec)
+    vec[idx] = coeffs
+    del nums, rows, members, coeffs, idx
+    u = Element._of_residues(a + b, b, p, vec)
+    at = 0
+    for chunk in _text_chunks(u, 2 if data[1:2] == b"\n" else None):
+        if not data.startswith(chunk, at):
+            return None
+        at += len(chunk)
+    return u if at == len(data) else None
 
 
 def element_from_text(text: str) -> Element:
     """The element of an element JSON text, as element_from_json(json.loads(text)).
 
-    The two layouts element_to_text writes, indent None or 2, are decoded
-    by _canonical_element in one vectorised pass over the bytes, with no
-    per-entry Python work; every other text goes through json.loads and
-    element_from_json. Either way a text gives the same element, or the
-    same error. Nesting too deep for json.loads is refused as a ValueError.
+    A text element_to_text writes, indent None or 2, is decoded with no
+    per-entry Python work by _canonical_element; every other text goes
+    through json.loads and element_from_json. Either way a text gives the
+    same element, or the same error. Nesting too deep for json.loads is
+    refused as a ValueError.
     """
     u = _canonical_element(text)
     if u is not None:

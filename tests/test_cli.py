@@ -273,7 +273,7 @@ def test_survey_command(tmp_path, capsys):
     rc, out, _ = run_cli(capsys, "survey", "--nmax", "6", "--p", "3,5")
     assert rc == 0
     lines = out.strip().splitlines()
-    assert lines[0].startswith("a,b,p,kind")
+    assert lines[0] == "a,b,p,kind,beta,bhat,dim_S,dim_D,f_in_S,quotient,predicted,match"
     assert len(lines) > 1
     out_file = tmp_path / "survey.csv"
     rc, stdout, _ = run_cli(

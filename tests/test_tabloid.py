@@ -494,6 +494,19 @@ def test_level_system_cell_guard(monkeypatch):
         constant_level_system(5, 3, [0, 1, 2])
 
 
+def test_level_system_refuses_levels_outside_0_to_b():
+    # a level above b added a block of all-zero element columns, so no
+    # element fitted a nonzero target and the zero element a zero one; a
+    # negative level raised from math.comb
+    assert constant_level_system(5, 2, [0, 2]).shape == (11, 12)
+    for call in (lambda: constant_level_system(5, 2, [0, 3]),
+                 lambda: constant_level_system(5, 2, [-1]),
+                 lambda: tabloid._level_element(5, 2, 3, {3: 1}),
+                 lambda: tabloid._level_element(5, 2, 3, {3: 0})):
+        with pytest.raises(ValueError, match=r"need 0 <= v <= b, got v=(3|-1), b=2"):
+            call()
+
+
 def test_composition_identity_small():
     # dropping to i then to j equals C(b-j, i-j) direct drops
     for n in range(1, 8):
@@ -674,7 +687,7 @@ def _table_encoder_cases(rng) -> list:
 
 def test_element_from_text_round_trip():
     rng = np.random.default_rng(83)
-    # no support: the decoder still reads a block's slot offsets from the template
+    # no support: the text is json.dumps of the element's dict itself
     empty = [Element.zero(6, 3, 3), Element.zero(1, 1, 3), Element.zero(9, 5, 2147483629)]
     cases = empty + [Element.ones(1, 1, 5), Element.ones(5, 5, 7),
                      Element.ones(4, 2, 2147483629)]
@@ -712,7 +725,7 @@ def _damaged_texts():
         "float coeff": ('"coeff": 2', '"coeff": 1.0'),
         "bool coeff": ('"coeff": 2', '"coeff": true'),
         "19-digit coeff": ('"coeff": 2', '"coeff": 1000000000000000000'),
-        # 257 digits read as 1 in int8; the last run's length moves no slot
+        # 257 digits would read as 1 in int8
         "257-digit last coeff": ('"coeff": 1}]', '"coeff": ' + "1" * 257 + "}]"),
         "2**63 coeff": ('"coeff": 2', f'"coeff": {2**63}'),
         "2**63 member": ("[1, 3]", f"[1, {2**63}]"),
@@ -778,6 +791,15 @@ def test_element_from_text_matches_json_route(name):
     text = _damaged_texts()[name]
     want = _decoded(lambda t: element_from_json(json.loads(t)), text)
     assert _decoded(element_from_text, text) == want
+
+
+def test_canonical_element_takes_only_texts_the_encoder_writes_back():
+    texts = _damaged_texts()
+    got = {name: tabloid._canonical_element(text) for name, text in texts.items()}
+    taken = {name for name, u in got.items() if u is not None}
+    assert taken == {"plain", "pretty", "surrounding whitespace", "zero element"}
+    for name in taken:
+        assert got[name] == element_from_json(json.loads(texts[name])), name
 
 
 def test_element_from_text_hands_longer_texts_to_json(monkeypatch):
