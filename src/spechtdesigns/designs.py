@@ -97,22 +97,16 @@ class Spectrum:
     def is_multiple_of(self, other: "Spectrum") -> bool:
         """Whether self = c * other for some scalar c mod p.
 
-        False when self is not universal; other must be universal.
+        False when self is not universal; other must be universal, and the
+        two spectra of one length. c is read off other's first nonzero
+        level, or is 0 when other is zero.
         """
         if not self.universal:
             return False
         p = self.p
-        c = None
-        for mu, nu in zip(self.levels, other.levels):
-            if nu:
-                cand = mu * pow(nu, p - 2, p) % p
-                if c is None:
-                    c = cand
-                elif c != cand:
-                    return False
-            elif mu:
-                return False
-        return True  # c None means other is zero, forcing self to be zero too
+        pairs = list(zip(self.levels, other.levels, strict=True))
+        c = next((mu * pow(nu, p - 2, p) for mu, nu in pairs if nu), 0)
+        return all((mu - c * nu) % p == 0 for mu, nu in pairs)
 
     def to_json(self) -> dict:
         out = []
@@ -153,12 +147,12 @@ def is_universal(u: Element) -> bool:
 
 
 def similar(u: Element, w: Element) -> bool:
-    """Whether spectrum(u) = alpha * spectrum(w) for some scalar alpha."""
+    """Whether spectrum(u) = alpha * spectrum(w) for some scalar alpha;
+    u and w must be universal elements of one module."""
     su, sw = spectrum(u), spectrum(w)
     if not (su.universal and sw.universal):
         raise ValueError("similarity compares universal designs only")
-    if u.p != w.p:
-        raise ValueError("modulus mismatch")
+    u._like(w)
     return su.is_multiple_of(sw)
 
 
@@ -281,7 +275,7 @@ def construct_integral_design(g: int, b: int, t: int, mu) -> IntegerDesign | Non
     checked against. The output is verified level by level before return.
     """
     mus = _level_constants(g, b, t, mu)
-    # the solver holds the rows x cols system and a cols x cols unimodular U
+    # the solver's one working copy: the rows x cols system over a cols x cols U
     cols = math.comb(g, b)
     cells = cols * (sum(math.comb(g, s) for s in range(t + 1)) + cols)
     if cells > _MAX_SUBSETS:

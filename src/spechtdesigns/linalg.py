@@ -14,7 +14,8 @@ and int64 never wraps. Nothing is cleared above the pivots: each vector is
 a kernel vector completed bottom-up from preset coordinates, one column at
 a time (_kernel_vector); A x = b presets the last coordinate of [A | -b].
 Integer solving works on arbitrary-precision Python ints via a column
-echelon form built from unimodular column operations.
+echelon form built from unimodular column operations, each written once on
+a column of [A; I], so the unimodular U is carried under A as they run.
 """
 
 from __future__ import annotations
@@ -335,73 +336,61 @@ class MatZ:
 def solve_integer(a: MatZ, rhs: Sequence[int]) -> list[int] | None:
     """One integer solution of A x = rhs, or None if there is none.
 
-    Reduces A to column echelon form H = A U with U unimodular (Hermite
-    style, Euclidean column operations pivoting on the smallest nonzero
-    entry of each row), then forward substitutes. Divisibility failures or
-    a nonzero residual mean the system has no integral solution. The
-    result is verified against A before it is returned.
+    Column reduces [A; I] to [H; U], with H = A U in column echelon form
+    and U unimodular (Hermite style, Euclidean column operations pivoting
+    on the smallest nonzero entry of each row), so that U is carried under
+    A by the same operations. Each pivot column is final once found, and
+    forward substitution takes it then: y_c = residual / pivot, and x gains
+    y_c times column c of U. A divisibility failure or a nonzero residual
+    means the system has no integral solution. The result is verified
+    against A before it is returned.
     """
     m, n = a.shape
     _require_ints(rhs, "rhs entries")
     b = [int(x) for x in rhs]
     if len(b) != m:
         raise ValueError(f"rhs length {len(b)} != row count {m}")
-    # column-major working copies
-    h = [[a.rows[i][j] for i in range(m)] for j in range(n)]
-    u = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    pivots: list[tuple[int, int]] = []
+    # column j of [A; I], reduced in place to column j of [H; U]
+    cols = [[row[j] for row in a.rows] + [int(i == j) for i in range(n)]
+            for j in range(n)]
+    x = [0] * n
+    resid = list(b)
     c = 0
     for r in range(m):
         if c == n:
             break
         while True:
-            live = [j for j in range(c, n) if h[j][r]]
+            live = [j for j in range(c, n) if cols[j][r]]
             if not live:
                 break
-            j0 = min(live, key=lambda j: abs(h[j][r]))
-            if j0 != c:
-                h[c], h[j0] = h[j0], h[c]
-                u[c], u[j0] = u[j0], u[c]
-            if h[c][r] < 0:
-                h[c] = [-x for x in h[c]]
-                u[c] = [-x for x in u[c]]
-            piv = h[c][r]
+            j0 = min(live, key=lambda j: abs(cols[j][r]))
+            cols[c], cols[j0] = cols[j0], cols[c]
+            if cols[c][r] < 0:
+                cols[c] = [-v for v in cols[c]]
+            pc = cols[c]
+            piv = pc[r]
             done = True
             for j in range(c + 1, n):
-                if h[j][r]:
-                    q = h[j][r] // piv  # floor keeps remainders in [0, piv)
-                    hc, uc = h[c], u[c]
-                    h[j] = [x - q * y for x, y in zip(h[j], hc)]
-                    u[j] = [x - q * y for x, y in zip(u[j], uc)]
-                    if h[j][r]:
+                if cols[j][r]:
+                    q = cols[j][r] // piv  # floor keeps remainders in [0, piv)
+                    cols[j] = [v - q * w for v, w in zip(cols[j], pc)]
+                    if cols[j][r]:
                         done = False
             if done:
                 break
-        if c < n and h[c][r]:
-            pivots.append((r, c))
+        pc = cols[c]
+        if pc[r]:
+            # later operations touch only columns right of c, all zero in rows
+            # up to r: column c is final and rows up to r keep their residual
+            t, rem = divmod(resid[r], pc[r])
+            if rem:
+                return None
+            if t:
+                resid = [rv - t * hv for rv, hv in zip(resid, pc)]
+                x = [xv + t * uv for xv, uv in zip(x, pc[m:])]
             c += 1
-    # forward substitution down the echelon columns
-    y = [0] * n
-    resid = list(b)
-    for r, cc in pivots:
-        piv = h[cc][r]
-        if resid[r] % piv:
-            return None
-        t = resid[r] // piv
-        if t:
-            y[cc] = t
-            col = h[cc]
-            resid = [rv - t * hv for rv, hv in zip(resid, col)]
     if any(resid):
         return None
-    x = [0] * n
-    for j in range(n):
-        t = y[j]
-        if t:
-            uj = u[j]
-            for i in range(n):
-                if uj[i]:
-                    x[i] += t * uj[i]
     if a.apply(x) != b:
         raise AssertionError(f"integer solver produced a non-solution of a {m} x {n} system")
     return x

@@ -201,7 +201,10 @@ def _members(n: int, k: int, idx: np.ndarray) -> np.ndarray:
 
     Each row's lowest set bit is peeled off its listing mask; that bit is a
     power of two below 2^62, exact in float64, so np.frexp reads its place.
+    An empty idx builds no listing.
     """
+    if not len(idx):
+        return np.empty((0, k), dtype=np.int64)
     masks = subsets_colex(n, k)[idx]
     out = np.empty((len(masks), k), dtype=np.int64)
     for j in range(k):
@@ -433,8 +436,6 @@ def psi_int(n: int, b: int, vec, v: int) -> np.ndarray:
 
 def psi(u: Element, v: int) -> np.ndarray:
     """psi_v(u) over GF(p), as a coefficient vector on colex v-subsets."""
-    if not 0 <= v <= u.b:
-        raise ValueError(f"need 0 <= v <= {u.b}, got {v}")
     return (psi_int(u.n, u.b, u.vec, v) % u.p).astype(np.int64, copy=False)
 
 

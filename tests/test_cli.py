@@ -82,6 +82,17 @@ def test_construct_verify_pipeline(tmp_path, capsys):
     assert report["spectrum"]["levels"][0]["mu"] == 1
 
 
+def test_verify_non_universal_element(tmp_path, capsys):
+    # one block of (3, 3): level 0 is constant, levels 1 and 2 are not
+    doc = tmp_path / "block.json"
+    doc.write_text('{"p": 3, "a": 3, "b": 3, "entries": [{"set": [1, 2, 3], "coeff": 1}]}')
+    rc, out, err = run_cli(capsys, "verify", "--file", str(doc))
+    assert rc == 0 and err == ""
+    report = json.loads(out)
+    assert [row["constant"] for row in report["spectrum"]["levels"]] == [True, False, False]
+    assert (report["condition1"], report["condition2"], report["is_hemmer"]) == (False, True, False)
+
+
 def test_construct_out_bytes(tmp_path, capsys):
     # the (4,3) mod 3 base witness: every 3-subset of {3..7}, in colex order
     sets = [[3, 4, 5], [3, 4, 6], [3, 5, 6], [4, 5, 6], [3, 4, 7],

@@ -183,9 +183,17 @@ def test_similar():
     u = Element.from_subsets(6, 3, 3, {ms: 1 for ms in masks})
     assert spectrum(u).levels == (1, 0, 0)
     assert not similar(u, f) and not similar(f, u)
-    nonconst = Element.from_subsets(4, 2, 3, {(1, 2): 1})
-    with pytest.raises(ValueError):
+    nonconst = Element.from_subsets(6, 3, 3, {(1, 2, 3): 1})
+    with pytest.raises(ValueError, match="universal designs only"):
         similar(nonconst, f)
+    # spectra (1, 1) and (2,) of two modules were compared truncated
+    with pytest.raises(ValueError, match="different modules"):
+        similar(f_lambda(3, 2, 3), f_lambda(4, 1, 3))
+
+
+def test_is_multiple_of_refuses_spectra_of_another_length():
+    with pytest.raises(ValueError):
+        Spectrum(3, (1, 2)).is_multiple_of(Spectrum(3, (1,)))
 
 
 def test_coefficient_transfer():

@@ -90,6 +90,13 @@ def test_subsets_colex_keeps_only_requested_listings():
     assert subsets_colex.cache_info().currsize == 2
 
 
+def test_decoding_the_zero_element_builds_no_listing():
+    subsets_colex.cache_clear()
+    u = element_from_text('{"p": 3, "a": 11, "b": 10, "entries": []}')
+    assert u == Element.zero(21, 10, 3) and element_to_json(u)["entries"] == []
+    assert subsets_colex.cache_info().currsize == 0
+
+
 def test_mask_round_trip_examples():
     idx = _ranks(6, 3, [[2, 4, 5]])
     assert int(subsets_colex(6, 3)[idx[0]]) == 0b011010
@@ -502,7 +509,9 @@ def test_level_system_refuses_levels_outside_0_to_b():
     for call in (lambda: constant_level_system(5, 2, [0, 3]),
                  lambda: constant_level_system(5, 2, [-1]),
                  lambda: tabloid._level_element(5, 2, 3, {3: 1}),
-                 lambda: tabloid._level_element(5, 2, 3, {3: 0})):
+                 lambda: tabloid._level_element(5, 2, 3, {3: 0}),
+                 lambda: psi(Element.ones(5, 2, 3), 3),
+                 lambda: psi(Element.ones(5, 2, 3), -1)):
         with pytest.raises(ValueError, match=r"need 0 <= v <= b, got v=(3|-1), b=2"):
             call()
 
@@ -737,6 +746,7 @@ def _damaged_texts():
         "unsorted members": ("[1, 3]", "[3, 1]"),
         "member 0": ("[1, 3]", "[0, 3]"),
         "member n+1": ("[1, 3]", "[1, 6]"),
+        "members in [1, n] ranked C(n, b)": ("[2, 5]", "[5, 5]"),
         "a > b swapped": ('"a": 3, "b": 2', '"a": 2, "b": 3'),
         "b = 0": ('"b": 2', '"b": 0'),
         "ground too large": ('"a": 3', '"a": 100'),
