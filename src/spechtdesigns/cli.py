@@ -198,7 +198,7 @@ def main(argv=None) -> int:
     except (SelfCheckError, AssertionError) as exc:
         print(f"self-check failed: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

@@ -18,6 +18,7 @@ import numpy as np
 
 from .linalg import MatZ, _require_word_prime, solve_integer
 from .numtheory import (
+    _MAX_BINOM_STEPS,
     _carries,
     _int_vector,
     _require_ints,
@@ -60,6 +61,13 @@ __all__ = [
 ]
 
 
+def _require_design_sizes(g: int, b: int, t: int) -> None:
+    """Refuse sizes that are not ints or lie off the domain 0 <= t < b <= g."""
+    _require_ints((g, b, t), "design parameters")
+    if not 0 <= t < b <= g:
+        raise ValueError(f"need 0 <= t < b <= g, got t={t}, b={b}, g={g}")
+
+
 @dataclass(frozen=True, slots=True)
 class DesignParams:
     """Ground size g, block size b, strength t, odd prime p; 0 <= t < b <= g."""
@@ -71,11 +79,7 @@ class DesignParams:
 
     def __post_init__(self) -> None:
         require_odd_prime(self.p)
-        _require_ints((self.g, self.b, self.t), "design parameters")
-        if not 0 <= self.t < self.b <= self.g:
-            raise ValueError(
-                f"need 0 <= t < b <= g, got t={self.t}, b={self.b}, g={self.g}"
-            )
+        _require_design_sizes(self.g, self.b, self.t)
 
 
 @dataclass(frozen=True, slots=True)
@@ -194,12 +198,20 @@ def wilson_exists(g: int, b: int, t: int, p: int) -> bool:
     """Arithmetic criterion for a non-null t-design of block size b on [g].
 
     Requires t <= b <= g - t. True iff for every i <= t, whenever p divides
-    C(b-i, t-i) it also divides C(g-i, t-i).
+    C(b-i, t-i) it also divides C(g-i, t-i). Step i multiplies at most
+    min(t, b - t) and min(t, g - t) times, and at most (p - 1) // 2 times
+    per base-p digit of t; a call whose t + 1 steps could pass
+    _MAX_BINOM_STEPS multiplications is refused before the first.
     """
     p = require_odd_prime(p)
     _require_ints((g, b, t), "design parameters")
     if not 0 <= t < b <= g - t:
         raise ValueError(f"need 0 <= t < b <= g - t, got g={g}, b={b}, t={t}")
+    per_binom = min(t, int(t).bit_length() * (p - 1) // 2)  # bit_length >= base-p digits
+    steps = (t + 1) * (min(b - t, per_binom) + min(g - t, per_binom))
+    if steps > _MAX_BINOM_STEPS:
+        raise ValueError(f"Wilson's criterion at t={t} mod {p} needs up to {steps} "
+                         f"multiplications, over the limit of {_MAX_BINOM_STEPS}")
     return all(
         binom_mod_p(g - i, t - i, p) == 0
         for i in range(t + 1)
@@ -223,14 +235,13 @@ def find_t_design_fp(params: DesignParams, target: int) -> Element | None:
 
 
 def _level_constants(g: int, b: int, t: int, mu) -> list[int]:
-    """mu_0..mu_t as ints, after checking them, their count and 0 <= t < b <= g."""
+    """mu_0..mu_t as ints, after checking the sizes, then the constants and their count."""
+    _require_design_sizes(g, b, t)
     mus = list(mu)
     _require_ints(mus, "level constants")
     mus = [int(x) for x in mus]
     if len(mus) != t + 1:
         raise ValueError(f"need {t + 1} level constants mu_0..mu_{t}, got {len(mus)}")
-    if not 0 <= t < b <= g:
-        raise ValueError(f"need 0 <= t < b <= g, got g={g}, b={b}, t={t}")
     return mus
 
 
@@ -252,6 +263,8 @@ class IntegerDesign:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        _require_ints((self.g, self.b), "design sizes")
+        _require_ints(self.coeffs, "design coefficients")
         if not 1 <= self.b <= self.g:
             raise ValueError(f"need 1 <= b <= g, got b={self.b}, g={self.g}")
         if len(self.coeffs) != math.comb(self.g, self.b):
@@ -323,13 +336,15 @@ def null_design_generator(g: int, b: int, t: int, pairs, fixed=()) -> IntegerDes
         raise ValueError(f"points must lie in [1, {g}]")
     # with the points distinct and in [1, g], the 2^(t+1) blocks are distinct
     # b-subsets, so there are at most C(g, b) of them
-    vec = np.zeros(_require_listable(g, b), dtype=np.int64)
+    coeffs = [0] * _require_listable(g, b)
     xy = np.array(ps, dtype=np.int64).reshape(t + 1, 2)
     picks = np.arange(1 << (t + 1))[:, None] >> np.arange(t + 1) & 1  # 1: pick x
     blocks = np.hstack([np.where(picks == 1, xy[:, 0], xy[:, 1]),
                         np.tile(np.array(fx, dtype=np.int64), (len(picks), 1))])
-    vec[_ranks(g, b, np.sort(blocks, axis=1))] = (-1) ** (t + 1 - picks.sum(axis=1))
-    return IntegerDesign(g, b, tuple(vec.tolist()))
+    signs = (-1) ** (t + 1 - picks.sum(axis=1))
+    for r, c in zip(_ranks(g, b, np.sort(blocks, axis=1)).tolist(), signs.tolist()):
+        coeffs[r] = c
+    return IntegerDesign(g, b, tuple(coeffs))
 
 
 @dataclass(frozen=True)

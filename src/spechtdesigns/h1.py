@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import io
-from bisect import bisect_left
 from dataclasses import dataclass, fields
 
 from .linalg import _require_word_prime
@@ -140,9 +139,9 @@ def brute_force_h1(a: int, b: int, p: int, budget: int = _COLUMN_BUDGET) -> H1Re
     a, b, p = int(a), int(b), _require_word_prime(p)
     n = a + b
     ncols = _require_columns(n, b, budget)
-    system, pivots = _kept_echelon(n, b, p)
+    system, pivots, e = _kept_echelon(n, b, p)
     dim_D = system.shape[1] - len(pivots)
-    dim_S = ncols - bisect_left(pivots, ncols)
+    dim_S = ncols - e
     f_in_S = specht_membership(f_lambda(a, b, p))
     if f_in_S != james_check((a, b), p):
         raise AssertionError(f"membership of the all-ones element disagrees with "

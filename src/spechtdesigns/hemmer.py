@@ -12,7 +12,6 @@ any miss, so a returned element is always certified.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -295,8 +294,7 @@ def find_hemmer_by_solver(a: int, b: int, p: int,
     p = _require_word_prime(p)
     n = a + b
     ncols = _require_columns(n, b, budget)
-    m, pivots = _kept_echelon(n, b, p)
-    e = bisect_left(pivots, ncols)  # pivot rows from e on pivot on scalar columns
+    m, pivots, e = _kept_echelon(n, b, p)
     sf = _f_spectrum(a, b, p).levels
     sf_kept = Spectrum(p, tuple(sf[v] for v in _kept_levels(b, p)))
     for g in range(ncols, m.shape[1]):

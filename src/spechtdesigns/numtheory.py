@@ -32,6 +32,10 @@ __all__ = [
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT = 3317044064679887385961981
 
+# Most multiplications binom_mod_p makes in one call: about a second with a
+# prime just under 2^31, at about 0.5 us each (CPython 3.11, 2-core x86 host).
+_MAX_BINOM_STEPS = 1 << 21
+
 
 @lru_cache(maxsize=None)
 def _is_prime(n: int) -> bool:
@@ -67,8 +71,8 @@ def _is_prime(n: int) -> bool:
 def _require_ints(xs, what: str) -> None:
     """Refuse, naming the first, any item that is not an int or a numpy
     integer; bools, ints to Python, are refused too."""
-    for x in xs:
-        if not isinstance(x, (int, np.integer)) or isinstance(x, bool):
+    for x in xs:  # the exact-int test first, which passes most items fastest
+        if type(x) is not int and (not isinstance(x, (int, np.integer)) or isinstance(x, bool)):
             raise ValueError(f"{what} must be ints, got {x!r}")
 
 
@@ -158,7 +162,11 @@ def p_adic_length(a: int, p: int) -> int:
 def binom_mod_p(m: int, k: int, p: int) -> int:
     """C(m, k) mod p by Lucas: the product of digitwise binomials.
 
-    Returns 0 for k outside [0, m], matching the usual convention.
+    Returns 0 for k outside [0, m], matching the usual convention, and
+    when some base-p digit of k exceeds that of m, before any digit is
+    multiplied out. A digit binomial C(mk, kk) takes min(kk, mk - kk)
+    multiplications; a call needing more than _MAX_BINOM_STEPS in all is
+    refused before the first.
     """
     p = require_odd_prime(p)
     _require_ints((m, k), "binomial arguments")
@@ -166,19 +174,26 @@ def binom_mod_p(m: int, k: int, p: int) -> int:
         raise ValueError(f"expected a nonnegative top argument, got {m}")
     if k < 0 or k > m:
         return 0
-    out = 1
-    while k or m:
-        mk, kk = m % p, k % p
+    pairs = []  # (mk, the shorter of kk and mk - kk) per digit of k
+    top, low = m, k
+    while low:
+        top, mk = divmod(top, p)
+        low, kk = divmod(low, p)
         if kk > mk:
             return 0
+        pairs.append((mk, min(kk, mk - kk)))
+    steps = sum(kk for _, kk in pairs)
+    if steps > _MAX_BINOM_STEPS:
+        raise ValueError(f"C({m}, {k}) mod {p} needs {steps} multiplications, "
+                         f"over the limit of {_MAX_BINOM_STEPS}")
+    out = 1
+    for mk, kk in pairs:
         # digit binomial stays below p^2, fine for machine ints
         num, den = 1, 1
         for i in range(kk):
             num = num * (mk - i) % p
             den = den * (i + 1) % p
         out = out * num * pow(den, p - 2, p) % p
-        m //= p
-        k //= p
     return out
 
 

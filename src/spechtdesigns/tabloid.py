@@ -495,17 +495,20 @@ def _kept_levels(b: int, p: int) -> list[int]:
     return kept[::-1]
 
 
-def _kept_echelon(n: int, b: int, p: int, levels=None) -> tuple[np.ndarray, list[int]]:
+def _kept_echelon(n: int, b: int, p: int, levels=None) -> tuple[np.ndarray, list[int], int]:
     """The level system on levels, by default _kept_levels(b, p), eliminated in place.
 
     The 0/1 element columns are already residues and only the -1 scalar
     entries are reduced, so constant_level_system's array is the one copy.
-    Panels run left to right, so the pivots among the first C(n, b)
-    columns are those of the element columns alone.
+    Panels run left to right, so the pivots among the first C(n, b) columns
+    are those of the element columns alone. Returns the array, its pivot
+    columns and e, their count: the first pivot row on a scalar column.
     """
+    ncols = math.comb(n, b)
     system = constant_level_system(n, b, _kept_levels(b, p) if levels is None else levels)
-    system[:, math.comb(n, b):] %= p
-    return _eliminate(system, p)
+    system[:, ncols:] %= p
+    m, pivots = _eliminate(system, p)
+    return m, pivots, bisect_left(pivots, ncols)
 
 
 def _level_element(n: int, b: int, p: int, targets: Mapping[int, int]) -> Element | None:
@@ -516,7 +519,7 @@ def _level_element(n: int, b: int, p: int, targets: Mapping[int, int]) -> Elemen
     """
     p = _require_word_prime(p)
     _require_ints(targets.values(), "level targets")
-    m, pivots = _kept_echelon(n, b, p, list(targets))
+    m, pivots, _ = _kept_echelon(n, b, p, list(targets))
     ncols = math.comb(n, b)
     preset = np.zeros(m.shape[1], dtype=np.int64)
     preset[ncols:] = [t % p for t in targets.values()]
@@ -535,13 +538,11 @@ def specht_dim(a: int, b: int, p: int) -> int:
     """Dimension over GF(p) of the joint kernel of psi_0..psi_(b-1).
 
     Only the levels in _kept_levels(b, p) are eliminated; they imply the
-    rest. The kernel rank is the count of element-column pivots of
-    _kept_echelon.
+    rest. The kernel rank is e, _kept_echelon's count of element pivots.
     """
     lam = Partition2(a, b)
     p = _require_word_prime(p)
-    ncols = math.comb(lam.n, b)
-    return ncols - bisect_left(_kept_echelon(lam.n, b, p)[1], ncols)
+    return math.comb(lam.n, b) - _kept_echelon(lam.n, b, p)[2]
 
 
 def _check_partition(parts) -> tuple[int, ...]:
@@ -749,7 +750,7 @@ def element_from_text(text: str) -> Element:
 
 
 def element_from_json(obj) -> Element:
-    """Parse and validate the element JSON schema; round-trips bit-exactly."""
+    """Parse the element JSON schema, checking each entry once; round-trips bit-exactly."""
     if not isinstance(obj, dict):
         raise ValueError("element JSON must be an object")
     missing = {"p", "a", "b", "entries"} - set(obj)
@@ -768,19 +769,16 @@ def element_from_json(obj) -> Element:
         raise ValueError("entries must be a list")
     vec = np.zeros(_require_listable(n, b), dtype=np.int64)
     keys = {"set", "coeff"}  # structure only; _ranks checks range, order and repeats
-    ok = all(isinstance(e, dict) and e.keys() == keys for e in entries)
-    sets = [e["set"] for e in entries] if ok else []
-    coeffs = [e["coeff"] for e in entries] if ok else []
-    if not (ok and all(isinstance(s, list) and len(s) == b for s in sets)
-            and set(map(type, chain(chain.from_iterable(sets), coeffs))) <= {int}
-            and 0 <= min(coeffs, default=0) and max(coeffs, default=0) < p):
-        for e in entries:  # the same tests one entry at a time name the first fault
-            if not isinstance(e, dict) or e.keys() != keys:
-                raise ValueError(f"bad entry {e!r}: need exactly 'set' and 'coeff'")
-            s, c = e["set"], e["coeff"]
-            if not isinstance(s, list) or len(s) != b or set(map(type, s)) != {int}:
-                raise ValueError(f"entry set {s!r} must list {b} ints")
-            if type(c) is not int or not 0 <= c < p:
-                raise ValueError(f"coeff {c!r} must be an int in [0, {p})")
+    sets, coeffs = [], []
+    for e in entries:  # each entry checked once, so the first fault is named
+        if not isinstance(e, dict) or e.keys() != keys:
+            raise ValueError(f"bad entry {e!r}: need exactly 'set' and 'coeff'")
+        s, c = e["set"], e["coeff"]
+        if not isinstance(s, list) or len(s) != b or set(map(type, s)) != {int}:
+            raise ValueError(f"entry set {s!r} must list {b} ints")
+        if type(c) is not int or not 0 <= c < p:
+            raise ValueError(f"coeff {c!r} must be an int in [0, {p})")
+        sets.append(s)
+        coeffs.append(c)
     vec[_ranks(n, b, sets)] = coeffs
     return Element(n, b, p, vec)

@@ -307,6 +307,24 @@ def test_integer_design_reduce_mod():
         IntegerDesign(4, 2, (1, 2, 3))
 
 
+def test_design_sizes_must_be_ints():
+    # the first returned True, the construct calls raised TypeError or read
+    # True as 1, and IntegerDesign took non-int sizes and coefficients
+    cases = [
+        (integral_design_exists, (4.0, 2, 1, [6, 3])),
+        (integral_design_exists, (4, True, 0, [2])),
+        (integral_design_exists, (4, 2, True, [6, 3])),
+        (construct_integral_design, (4.0, 2, 1, [6, 3])),
+        (construct_integral_design, (4, 2, True, [6, 3])),
+        (IntegerDesign, (4, True, (1, 2, 3, 4))),
+        (IntegerDesign, (4, 2, (1.5,) * 6)),
+        (IntegerDesign, (4.0, 2, (0,) * 6)),
+    ]
+    for call, args in cases:
+        with pytest.raises(ValueError, match="must be ints"):
+            call(*args)
+
+
 def test_null_generator_singleton():
     d = null_design_generator(3, 1, 0, [(1, 2)])
     assert d.coeffs == (1, -1, 0)

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spechtdesigns
 from spechtdesigns.numtheory import (
     Digits,
     all_binoms_divisible,
@@ -139,11 +144,56 @@ def test_binom_mod_p_examples():
     assert binom_mod_p(5, -1, 3) == 0
     assert binom_mod_p(0, 0, 3) == 1
     assert binom_mod_p(np.int64(5), np.int8(2), 3) == 1
+    p = 2147483647  # digit binomials from either end: min(kk, mk - kk) multiplications
+    for m, k in ((10**5, 99 * 10**3), (10**5, 10**3), (p + 1000, p + 990)):
+        assert binom_mod_p(m, k, p) == math.comb(m, k) % p
+    assert binom_mod_p(2 * p + 5, p + 3, p) == 2 * 10  # Lucas: C(2, 1) C(5, 3)
     for m, k in ((5.5, 2), (5, 2.0), (True, 1)):  # (5.5, 2) gave 1.5
         with pytest.raises(ValueError, match="must be ints"):
             binom_mod_p(m, k, 3)
         with pytest.raises(ValueError, match="must be ints"):
             binom_val_p(m, k, 3)
+
+
+# Runs one call in a fresh process and prints its outcome and the seconds it
+# took after the imports; the caller's timeout stops a call that hangs.
+TIMED_CHILD = """
+import sys, time
+from spechtdesigns.designs import DesignParams, coefficient_transfer, wilson_exists
+from spechtdesigns.numtheory import binom_mod_p
+t0 = time.perf_counter()
+try:
+    print("answer", eval(sys.argv[1]))
+except ValueError as exc:
+    print("refused", exc)
+print(time.perf_counter() - t0)
+"""
+
+
+def test_binomial_calls_answer_or_refuse_quickly():
+    # all but the first took seconds or more: one multiplication per unit of a
+    # digit of k, and the zero answer waited on its low digit's 2*10**7 of them
+    word = 2147483647
+    cases = [
+        (f"binom_mod_p(10**6, 5*10**5, {word})", "answer"),
+        (f"binom_mod_p(10**7, 5*10**6, {word})", "refused C(10000000, 5000000) mod 2147483647 "
+                                                 "needs 5000000 multiplications"),
+        (f"binom_mod_p(10**8, 5*10**7, {word})", "refused"),
+        (f"wilson_exists(10**6, 2*10**5, 10**5, {word})", "refused Wilson's criterion"),
+        (f"coefficient_transfer(1, DesignParams(10**8, 10**8 - 1, 5*10**7, {word}), 0)",
+         "refused"),
+        (f"binom_mod_p(5*10**7 + {word}**2, 2*10**7 + {word}, {word})", "answer 0"),
+    ]
+    for call, outcome in cases:
+        r = subprocess.run(
+            [sys.executable, "-c", TIMED_CHILD, call], capture_output=True, text=True,
+            timeout=20, cwd=Path(spechtdesigns.__file__).parent.parent,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert r.returncode == 0, r.stderr
+        first, seconds = r.stdout.splitlines()
+        assert first.startswith(outcome), (call, first)
+        assert float(seconds) < 1.0, (call, seconds)
 
 
 @settings(max_examples=300)
