@@ -31,7 +31,8 @@ from .tabloid import (
     Partition2,
     _kept_echelon,
     _kept_levels,
-    _level_element,
+    _orbit_echelon,
+    _preset_solve,
     _require_columns,
     _require_listable,
     f_lambda,
@@ -201,11 +202,14 @@ def construct_james(a: int, b: int, p: int) -> Element:
     the all-ones element are C(n-s, b-s); dividing by p^d with d their
     minimum valuation gives targets, not all divisible by p, that an
     integral design realizes; so the GF(p) level system with those targets
-    is consistent, and its canonical echelon solution is returned: one
-    forward elimination and a back-solve from the preset targets
-    (tabloid._level_element). The targets obey the composition identity
-    mod p, so the system on the levels of _kept_levels(b, p) has the same
-    solutions, hence echelon solution, as the one on all levels.
+    is consistent. The targets obey the composition identity mod p, so the
+    system on the levels of _kept_levels(b, p) has the same solutions. So
+    does its G-invariant part, for the p'-group G of tabloid._orbit_tree:
+    averaging a solution over G, whose order is a unit mod p, keeps every
+    level sum. The witness is the echelon solution of the orbit system
+    (tabloid._orbit_echelon, then tabloid._preset_solve), one coordinate
+    per G-orbit of b-subsets, expanded by orbit id and certified by its
+    full spectrum walk.
     """
     n = a + b
     _require_listable(n, b)
@@ -215,12 +219,14 @@ def construct_james(a: int, b: int, p: int) -> Element:
     exact = [math.comb(n - s, b - s) for s in range(b)]
     d = min(p_adic_val(x, p) for x in exact)
     mus = [x // p**d % p for x in exact]
-    u = _level_element(n, b, p, {s: mus[s] for s in _kept_levels(b, p)})
-    if u is None:
+    m, pivots, _, ids = _orbit_echelon(n, b, p)
+    x = _preset_solve(m, pivots, p, [mus[s] for s in _kept_levels(b, p)])
+    if x is None:
         raise SelfCheckError(
-            f"no element with level constants {mus} mod {p} on (n={n}, b={b})"
+            f"no G-invariant element with level constants {mus} mod {p} on (n={n}, b={b})"
         )
-    return _certify(u, "james", lambda levels: levels == tuple(mus))
+    return _certify(Element(n, b, p, x[ids]), "james",
+                    lambda levels: levels == tuple(mus))
 
 
 def construct_auto(a: int, b: int, p: int) -> Element:

@@ -224,12 +224,19 @@ def all_binoms_divisible(a: int, b: int, p: int) -> bool:
     """Whether p divides C(a+j, j) for every 1 <= j <= b.
 
     Ground truth by direct loop, O(b) calls to binom_mod_p. Callers should
-    use the O(log b) digit form below; the tests cross-check the two.
+    use the O(log b) digit form below; the tests cross-check the two. Call
+    j multiplies at most min(j, (p - 1) // 2) times per base-p digit of j;
+    a call whose b binomials could pass _MAX_BINOM_STEPS multiplications in
+    all is refused before the first.
     """
     p = require_odd_prime(p)
     _require_ints((a, b), "shape arguments")
     if a < 0 or b < 0:
         raise ValueError(f"need nonnegative a, b; got a={a}, b={b}")
+    steps = b * min(b, int(b).bit_length() * (p - 1) // 2)  # bit_length >= base-p digits
+    if steps > _MAX_BINOM_STEPS:
+        raise ValueError(f"the {b} binomials C({a}+j, j) mod {p}, 1 <= j <= {b}, need up to "
+                         f"{steps} multiplications, over the limit of {_MAX_BINOM_STEPS}")
     return all(binom_mod_p(a + j, j, p) == 0 for j in range(1, b + 1))
 
 

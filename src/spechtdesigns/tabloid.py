@@ -46,6 +46,20 @@ module owns its layout, and constant_level_system is its one builder;
 the solvers take views of its columns. Over GF(p)
 most levels of that system are implied by the others through the
 composition identity; _kept_levels names the ones that are not.
+_preset_solve back-solves any eliminated system of that layout from its
+scalar coordinates preset to level targets.
+
+The orbit layer shrinks that system for a group G <= S_n whose order is
+a unit mod p (_orbit_tree: iterated wreath products of S_(p-1), one per
+base-(p-1) digit of n). Averaging over G keeps every level sum, so the
+G-invariant elements, one coordinate per G-orbit of b-subsets, reach
+every spectrum that any element reaches. _orbit_canon puts whole arrays
+of masks in a canonical form per orbit, bottom-up by sorting each tree
+node's child fields; np.unique of the forms numbers the orbits; and
+_orbit_level_system lays out the Kramer-Mesner orbit matrix (E. S. Kramer
+and D. M. Mesner, Discrete Math. 15, 1976) on the kept levels in the same
+[W | -E] layout, counting the blocks of each b-orbit that contain an
+orbit representative, one containment test per representative.
 """
 
 from __future__ import annotations
@@ -86,9 +100,10 @@ _MAX_GROUND = 62  # masks live in int64
 # Longest subset listing or element vector accepted: about 12 times the
 # largest shape in the tests and the benchmark, C(21, 10) = 352716.
 _MAX_SUBSETS = 1 << 22
-# Most cells in one level system, 1 GiB of int64. construct_james(8, 7, 3)
-# solves 6370 x 6437 cells on its kept levels, about 2^25.3; the 15808 x
-# 12872 system of (8, 8, 3) is refused.
+# Most cells in one level system, 1 GiB of int64. find_t_design_fp at
+# (g, b, t) = (15, 7, 6) solves 5005 x 6436 cells, about 2^24.9; the 11440 x
+# 12871 system of (16, 8, 7) is refused. construct_james solves on orbits
+# and builds no such system.
 _MAX_CELLS = 1 << 27
 
 
@@ -511,22 +526,138 @@ def _kept_echelon(n: int, b: int, p: int, levels=None) -> tuple[np.ndarray, list
     return m, pivots, bisect_left(pivots, ncols)
 
 
+def _preset_solve(m: np.ndarray, pivots: list[int], p: int, targets: list[int]) -> np.ndarray | None:
+    """The element coordinates of the echelon solution (free coordinates
+    zero) of an eliminated level system [W | -E] whose last len(targets)
+    columns are its scalars: back-solved by _kernel_vector from the scalar
+    coordinates preset to the targets mod p. None when a scalar pivot row,
+    zero on the element columns, moves a preset: no element fits.
+    """
+    ncols = m.shape[1] - len(targets)
+    preset = np.zeros(m.shape[1], dtype=np.int64)
+    preset[ncols:] = [t % p for t in targets]
+    x = _kernel_vector(m, p, pivots, preset)
+    if not np.array_equal(x[ncols:], preset[ncols:]):
+        return None
+    return x[:ncols]
+
+
 def _level_element(n: int, b: int, p: int, targets: Mapping[int, int]) -> Element | None:
-    """The echelon element (free coordinates zero) whose level-s sums are
-    all targets[s] mod p: _kept_echelon on the target levels, back-solved
-    from its scalar coordinates preset to the targets. None when a scalar
-    pivot row, zero on the element columns, moves a preset: no element fits.
+    """The echelon element whose level-s sums are all targets[s] mod p:
+    _kept_echelon on the target levels, then _preset_solve. None when no
+    element fits.
     """
     p = _require_word_prime(p)
     _require_ints(targets.values(), "level targets")
     m, pivots, _ = _kept_echelon(n, b, p, list(targets))
-    ncols = math.comb(n, b)
-    preset = np.zeros(m.shape[1], dtype=np.int64)
-    preset[ncols:] = [t % p for t in targets.values()]
-    x = _kernel_vector(m, p, pivots, preset)
-    if not np.array_equal(x[ncols:], preset[ncols:]):
-        return None
-    return Element(n, b, p, x[:ncols])
+    x = _preset_solve(m, pivots, p, list(targets.values()))
+    return None if x is None else Element(n, b, p, x)
+
+
+# Masks put in canonical form at a time, to bound the (masks x fields)
+# temporaries of _sort_fields: 2^15 masks x 16 fields of int64 is 4 MiB.
+_CANON_BLOCK = 1 << 15
+
+
+def _orbit_tree(n: int, p: int) -> list[tuple[int, list[int]]]:
+    """The blocks of the p'-group G <= S_n, as (first point, fan-outs bottom-up).
+
+    With m = p - 1, each nonzero base-m digit d_k of n, lowest first, owns
+    the next d_k * m^k points: d_k consecutive runs of m^k points, each the
+    leaves of a complete m-ary tree of depth k. G is the product over the
+    digits of S_{d_k} wr W_k, where W_k, the k-fold iterated wreath product
+    of S_m, permutes the m children of every node of a tree and S_{d_k} the
+    trees. A block's fan-outs are m at each of the k levels, then d_k at the
+    root; fan-outs of 1 move nothing and are left out. |G| is a product of
+    factorials of numbers below p, a unit mod p.
+    """
+    m, tree, first, k = p - 1, [], 0, 0
+    while n:
+        n, d = divmod(n, m)
+        if d:
+            tree.append((first, [f for f in [m] * k + [d] if f > 1]))
+            first += d * m**k
+        k += 1
+    return tree
+
+
+def _sort_fields(x: np.ndarray, width: int, fan: int, count: int) -> np.ndarray:
+    """Sort the count fields of width bits in x, lowest first, within each
+    run of fan consecutive fields, and pack them back."""
+    shifts = np.arange(count, dtype=np.int64) * width
+    fields = (x[:, None] >> shifts) & ((1 << width) - 1)
+    fields = np.sort(fields.reshape(len(x), count // fan, fan), axis=2)
+    return (fields << shifts.reshape(count // fan, fan)).sum(axis=(1, 2))
+
+
+def _orbit_canon(n: int, p: int, masks: np.ndarray) -> np.ndarray:
+    """The canonical form of each mask of subsets of [n] under the group of
+    _orbit_tree: two masks share it exactly when they lie in one G-orbit,
+    and it is itself in that orbit.
+
+    Bottom-up in each block: every node's child fields, each already in
+    canonical form, are cut into an (N, fan) array, sorted and packed back,
+    so that a node's field is the sorted multiset of its children's forms.
+    Blocks of _CANON_BLOCK masks bound the temporaries.
+    """
+    out = np.zeros_like(masks)
+    tree = _orbit_tree(n, p)
+    for lo in range(0, len(masks), _CANON_BLOCK):
+        chunk = masks[lo : lo + _CANON_BLOCK]
+        for first, fans in tree:
+            size = math.prod(fans)
+            x = (chunk >> first) & ((1 << size) - 1)
+            width = 1
+            for fan in fans:
+                x = _sort_fields(x, width, fan, size // width)
+                width *= fan
+            out[lo : lo + len(chunk)] |= x << first
+    return out
+
+
+def _orbit_level_system(n: int, b: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Kramer-Mesner system [W_orb | -E] of the G-orbits on the kept
+    levels, and the orbit id of each b-subset in colex order.
+
+    G is the group of _orbit_tree, whose order is a unit mod p. Averaging
+    over G keeps every level constant, so the G-invariant elements, one
+    coordinate per b-orbit, reach every spectrum that any element reaches.
+    Orbit ids number the b-orbits by size, then by canonical form, so
+    that the free columns of an echelon solution, left zero, are the
+    largest orbits and the expanded witness has a small support. Rows: per
+    level s of _kept_levels(b, p), one per s-orbit, ascending by canonical
+    form; entry (O_T, O_B) counts the blocks of O_B that contain the
+    representative T, the canonical form, found by one containment test
+    over the b-listing and one np.bincount by orbit id. Entries are exact
+    counts; the scalar column of a row holds -1.
+    """
+    masks = subsets_colex(n, b)
+    _, ids, sizes = np.unique(_orbit_canon(n, p, masks), return_inverse=True, return_counts=True)
+    ids = np.argsort(np.argsort(sizes, kind="stable"))[ids]  # smallest orbits first
+    ncols = len(sizes)
+    levels = _kept_levels(b, p)
+    reps = [np.unique(_orbit_canon(n, p, subsets_colex(n, s))) for s in levels]
+    out = np.zeros((sum(map(len, reps)), ncols + len(levels)), dtype=np.int64)
+    held = np.empty_like(masks)
+    hit = np.empty(len(masks), dtype=bool)
+    row = 0
+    for k, level_reps in enumerate(reps):
+        out[row : row + len(level_reps), ncols + k] = -1
+        for t in level_reps.tolist():
+            np.equal(np.bitwise_and(masks, t, out=held), t, out=hit)
+            out[row, :ncols] = np.bincount(ids[hit], minlength=ncols)
+            row += 1
+    return out, ids
+
+
+def _orbit_echelon(n: int, b: int, p: int) -> tuple[np.ndarray, list[int], int, np.ndarray]:
+    """_orbit_level_system reduced mod p and eliminated in place: the array,
+    its pivot columns, e, their count on the element columns, and the
+    orbit ids of the b-listing."""
+    system, ids = _orbit_level_system(n, b, p)
+    system %= p
+    m, pivots = _eliminate(system, p)
+    return m, pivots, bisect_left(pivots, int(ids.max()) + 1), ids
 
 
 def specht_membership(u: Element) -> bool:

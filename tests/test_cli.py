@@ -420,12 +420,24 @@ def test_poset_huge_shape_exits_2():
     assert "C(1000000, 2) = 499999500000 level pairs" in r.stderr
 
 
-def test_construct_oversized_level_system_exits_2():
-    # the (8,8,3) james system on its kept levels would be 15808 x 12872
-    # int64 cells, 1.6 GB per copy
-    r = run_capped("construct", "--a", "8", "--b", "8", "--p", "3", timeout=20)
+def test_design_oversized_level_system_exits_2():
+    # the (16, 8, 7) design system would be 11440 x 12871 int64 cells,
+    # 1.2 GB per copy
+    r = run_capped("design", "--g", "16", "--b", "8", "--t", "7", "--mode", "fp",
+                   "--p", "3", "--target", "1", timeout=20)
     assert r.returncode == 2
-    assert "15808 rows x 12872 columns = 203480576 cells" in r.stderr
+    assert "11440 rows x 12871 columns = 147244240 cells" in r.stderr
+
+
+def test_construct_james_on_orbits_answers_past_the_cell_limit(tmp_path):
+    # its level system on the kept levels, 15808 x 12872 cells, was refused
+    # before the witness was solved on G-orbits, a 45 x 37 system
+    out = tmp_path / "w.json"
+    r = run_capped("construct", "--a", "8", "--b", "8", "--p", "3", "--out", str(out), timeout=20)
+    assert r.returncode == 0, r.stderr
+    r = run_capped("verify", "--file", str(out), timeout=20)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["is_hemmer"] is True
 
 
 def test_poset_large_prime_is_quick():

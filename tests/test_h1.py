@@ -177,6 +177,24 @@ def test_pruned_dims_match_full_system():
                 assert specht_dim(n - b, b, p) == full_S, (n, b, p)
 
 
+def test_orbit_gap_matches_brute_force():
+    # |K| minus the scalar pivots of the orbit system on the kept levels K,
+    # against brute_force_h1's dim_D - dim_S, read as it reads them off the
+    # elimination of the whole kept-level system; neither side calls
+    # classify or a digit criterion
+    gaps = []
+    for p in (3, 5, 7):
+        for n in range(2, 14):
+            for b in range(1, n // 2 + 1):
+                kept = len(tabloid._kept_levels(b, p))
+                system, pivots, e = tabloid._kept_echelon(n, b, p)
+                dim_D, dim_S = system.shape[1] - len(pivots), math.comb(n, b) - e
+                _, orbit_pivots, orbit_e, _ = tabloid._orbit_echelon(n, b, p)
+                assert kept - (len(orbit_pivots) - orbit_e) == dim_D - dim_S, (n, b, p)
+                gaps.append(dim_D - dim_S)
+    assert len(gaps) == 126 and set(gaps) == {1, 2}
+
+
 def test_brute_force_holds_one_copy_of_its_system():
     # the peak is the system's one array plus the elimination's own panel
     # temporaries, measured first on an array built before tracing began:

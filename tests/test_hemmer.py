@@ -27,11 +27,11 @@ from spechtdesigns.hemmer import (
     verify_hemmer,
 )
 from linalg_reference import kernel_basis
+from orbit_reference import generators, permute
 from spechtdesigns.linalg import MatFp
 from spechtdesigns.numtheory import p_adic_length, p_adic_val
 from spechtdesigns.tabloid import (
     Element,
-    _level_element,
     constant_level_system,
     element_from_text,
     element_to_json,
@@ -248,13 +248,19 @@ def test_element_to_text_peak_is_a_small_multiple_of_its_text():
     (11, 2, 3), (14, 2, 5), (17, 2, 3), (8, 5, 3),
 ])
 def test_james_witness_matches_full_level_solve(a, b, p):
-    # construct_james solves on the kept levels only; the solve on every
-    # level has the same echelon form, so the same witness
+    # construct_james solves on G-orbits of the kept levels only: the
+    # witness is fixed by every generator of G, and with its targets it is
+    # a kernel vector of the level system on every level
     n = a + b
+    u = construct_james(a, b, p)
+    masks = subsets_colex(n, b)
+    for sigma in generators(n, p):
+        assert np.array_equal(u.vec[np.searchsorted(masks, permute(masks, sigma))], u.vec), sigma
     exact = [math.comb(n - s, b - s) for s in range(b)]
     d = min(p_adic_val(x, p) for x in exact)
-    full = _level_element(n, b, p, {s: x // p**d % p for s, x in enumerate(exact)})
-    assert construct_james(a, b, p).vec.tobytes() == full.vec.tobytes()
+    targets = [x // p**d % p for x in exact]
+    system = constant_level_system(n, b, range(b))
+    assert not (system @ np.concatenate([u.vec, targets]) % p).any()
 
 
 def test_construct_pointed_dispatches_to_base():

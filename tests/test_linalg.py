@@ -312,16 +312,22 @@ def test_solve_matches_rref_on_level_systems(monkeypatch):
     g <= 10, 0 <= t < b < g, targets 0, 1, 2 and p in {3, 5, 7}, the james
     benchmark shapes and (8, 5, 3) give the RREF's canonical solution of
     W x = targets, or None exactly where the RREF finds a pivot in the rhs
-    column. Target 0 gives it, the zero element, without a level solve."""
+    column. Target 0 gives it, the zero element, without a level solve.
+    The james systems are the orbit systems, solved by the back-solve the
+    t-designs share, and their witnesses are the solutions expanded by
+    orbit id."""
     solved = {True: 0, False: 0}
     homogeneous = 0
     real = tabloid._level_element
+    real_solve = tabloid._preset_solve
+
+    def canonical(system, targets, p):
+        ncols = system.shape[1] - len(targets)
+        rhs = -(system[:, ncols:] @ np.array(targets))
+        return canonical_solution(np.column_stack([system[:, :ncols], rhs]) % p, p)
 
     def checked(n, b, p, targets):
-        system = constant_level_system(n, b, list(targets))
-        ncols = system.shape[1] - len(targets)
-        rhs = -(system[:, ncols:] @ np.array(list(targets.values())))
-        want = canonical_solution(np.column_stack([system[:, :ncols], rhs]) % p, p)
+        want = canonical(constant_level_system(n, b, list(targets)), list(targets.values()), p)
         got = real(n, b, p, targets)
         if want is None:
             assert got is None
@@ -330,8 +336,13 @@ def test_solve_matches_rref_on_level_systems(monkeypatch):
         solved[want is not None] += 1
         return got
 
+    def counted(m, pivots, p, targets):
+        x = real_solve(m, pivots, p, targets)
+        solved[x is not None] += 1
+        return x
+
     monkeypatch.setattr(designs, "_level_element", checked)
-    monkeypatch.setattr(hemmer, "_level_element", checked)
+    monkeypatch.setattr(hemmer, "_preset_solve", counted)
     for p in (3, 5, 7):
         for g in range(2, 11):
             for b in range(1, g):
@@ -347,7 +358,13 @@ def test_solve_matches_rref_on_level_systems(monkeypatch):
                             homogeneous += 1
     assert solved == {True: 826, False: 164} and homogeneous == 495  # 1485 systems
     for a, b, p in JAMES_BENCH + ((8, 5, 3),):
-        construct_james(a, b, p)
+        u = construct_james(a, b, p)
+        n = a + b
+        exact = [math.comb(n - s, b - s) for s in range(b)]
+        d = min(numtheory.p_adic_val(x, p) for x in exact)
+        system, ids = tabloid._orbit_level_system(n, b, p)
+        want = canonical(system, [exact[s] // p**d for s in tabloid._kept_levels(b, p)], p)
+        assert want is not None and np.array_equal(u.vec, want[ids]), (a, b, p)
     assert solved == {True: 826 + len(JAMES_BENCH) + 1, False: 164}
 
 

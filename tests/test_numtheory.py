@@ -161,6 +161,7 @@ TIMED_CHILD = """
 import sys, time
 from spechtdesigns.designs import DesignParams, coefficient_transfer, wilson_exists
 from spechtdesigns.numtheory import binom_mod_p
+from spechtdesigns.tabloid import h0_dim, james_check
 t0 = time.perf_counter()
 try:
     print("answer", eval(sys.argv[1]))
@@ -184,6 +185,24 @@ def test_binomial_calls_answer_or_refuse_quickly():
          "refused"),
         (f"binom_mod_p(5*10**7 + {word}**2, 2*10**7 + {word}, {word})", "answer 0"),
     ]
+    answer_or_refuse_quickly(cases)
+
+
+def test_h0_dim_answers_or_refuses_quickly():
+    # the first took 1.4 s, one binom_mod_p call per j <= b, and ten times
+    # as long with ten times b
+    cases = [
+        ("h0_dim((3**13 - 1, 10**6), 3)", "refused the 1000000 binomials C(1594322+j, j) mod 3"),
+        ("h0_dim((3**13 - 1, 10**7), 3)", "refused"),
+        ("james_check((3**13 - 1, 10**6), 3)", "refused"),
+        ("h0_dim((3**13 - 1, 10**5), 3)", "answer 1"),
+        ("h0_dim((2147483646, 1400), 2147483647)", "answer 1"),
+    ]
+    answer_or_refuse_quickly(cases)
+
+
+def answer_or_refuse_quickly(cases):
+    """Each call, in a fresh process, starts with its outcome and takes under a second."""
     for call, outcome in cases:
         r = subprocess.run(
             [sys.executable, "-c", TIMED_CHILD, call], capture_output=True, text=True,

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linalg_reference import inclusion_matrix
+from orbit_reference import generators, orbit_counts, permute
 from spechtdesigns import tabloid
 from spechtdesigns.linalg import MatFp, MatZ, rank_fp
 from spechtdesigns.tabloid import (
@@ -16,6 +17,8 @@ from spechtdesigns.tabloid import (
     Partition2,
     _kept_levels,
     _members,
+    _orbit_canon,
+    _orbit_level_system,
     _ranks,
     constant_level_system,
     element_from_json,
@@ -514,6 +517,51 @@ def test_level_system_refuses_levels_outside_0_to_b():
                  lambda: psi(Element.ones(5, 2, 3), -1)):
         with pytest.raises(ValueError, match=r"need 0 <= v <= b, got v=(3|-1), b=2"):
             call()
+
+
+def test_orbit_canon_is_fixed_by_every_generator():
+    # every k-subset listing of n <= 17 points, through depth-4 trees for
+    # p = 3 and depth-2 trees for p = 5
+    for p in (3, 5, 7):
+        for n in range(1, 18):
+            for k in range(n // 2 + 1):
+                masks = subsets_colex(n, k)
+                canon = _orbit_canon(n, p, masks)
+                for sigma in generators(n, p):
+                    assert np.array_equal(_orbit_canon(n, p, permute(masks, sigma)), canon), \
+                        (n, k, p, sigma)
+
+
+def test_orbit_canon_counts_the_orbits():
+    # forms fixed by every generator take at most one value per orbit, so
+    # as many values as orbits separate the orbits too. 8-subsets of 16 points:
+    assert [orbit_counts(16, p)[8] for p in (3, 5, 7)] == [35, 8, 16]
+    for p in (3, 5, 7):
+        for n in range(1, 21):
+            counts = orbit_counts(n, p)
+            for k in range(n // 2 + 1):
+                canon = _orbit_canon(n, p, subsets_colex(n, k))
+                assert len(np.unique(canon)) == counts[k], (n, k, p)
+
+
+@pytest.mark.parametrize("n,b,p", [(11, 3, 3), (12, 4, 3), (13, 5, 3), (13, 4, 5),
+                                   (12, 6, 5), (14, 5, 7), (13, 6, 7), (16, 8, 3)])
+def test_orbit_system_entries_are_psi_of_orbit_indicators(n, b, p):
+    system, ids = _orbit_level_system(n, b, p)
+    levels = _kept_levels(b, p)
+    ncols = system.shape[1] - len(levels)
+    assert ids.shape == (math.comb(n, b),) and ids.max() + 1 == ncols
+    reps = [np.unique(_orbit_canon(n, p, subsets_colex(n, s))) for s in levels]
+    rows = np.concatenate([np.searchsorted(subsets_colex(n, s), r) for s, r in zip(levels, reps)])
+    assert system.shape[0] == len(rows)
+    level_of = np.repeat(np.arange(len(levels)), [len(r) for r in reps])
+    for j in range(ncols):
+        walk = psi_levels(n, b, (ids == j).astype(np.int64))
+        want = [walk[levels[k]][row] for k, row in zip(level_of, rows)]
+        assert system[:, j].tolist() == want, j
+    scalars = np.zeros((len(rows), len(levels)), dtype=np.int64)
+    scalars[np.arange(len(rows)), level_of] = -1
+    assert np.array_equal(system[:, ncols:], scalars)
 
 
 def test_composition_identity_small():
