@@ -222,10 +222,10 @@ def wilson_exists(g: int, b: int, t: int, p: int) -> bool:
 def find_t_design_fp(params: DesignParams, target: int) -> Element | None:
     """A t-design with level-t constant `target`, by solving mod p.
 
-    Returns the canonical echelon solution (free coordinates zero) from
-    tabloid._level_element, or None when no design exists. For a target
-    = 0 mod p the system is homogeneous, and its echelon solution is the
-    zero element, returned without building the system.
+    Returns tabloid._level_element on level t, the echelon solution of
+    the one-level orbit system of a p'-group expanded by orbit id, or None
+    when no design exists (averaging over the group keeps level sums). For
+    a target = 0 mod p the zero element is returned without a system.
     """
     _require_word_prime(params.p)  # refused first, as by _level_element
     _require_ints((target,), "level targets")

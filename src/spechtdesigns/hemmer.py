@@ -26,14 +26,11 @@ from .h1 import _fields_json, classify
 from .linalg import _kernel_vector, _require_word_prime
 from .numtheory import _require_ints, binom_mod_p, p_adic_length, p_adic_val, require_odd_prime
 from .tabloid import (
-    _COLUMN_BUDGET,
     Element,
     Partition2,
-    _kept_echelon,
     _kept_levels,
+    _level_element,
     _orbit_echelon,
-    _preset_solve,
-    _require_columns,
     _require_listable,
     f_lambda,
     subsets_colex,
@@ -203,13 +200,11 @@ def construct_james(a: int, b: int, p: int) -> Element:
     minimum valuation gives targets, not all divisible by p, that an
     integral design realizes; so the GF(p) level system with those targets
     is consistent. The targets obey the composition identity mod p, so the
-    system on the levels of _kept_levels(b, p) has the same solutions. So
-    does its G-invariant part, for the p'-group G of tabloid._orbit_tree:
-    averaging a solution over G, whose order is a unit mod p, keeps every
-    level sum. The witness is the echelon solution of the orbit system
-    (tabloid._orbit_echelon, then tabloid._preset_solve), one coordinate
-    per G-orbit of b-subsets, expanded by orbit id and certified by its
-    full spectrum walk.
+    system on the levels of _kept_levels(b, p) has the same solutions. The
+    witness is tabloid._level_element on those levels and targets: the
+    echelon solution of the orbit system of the p'-group G of
+    tabloid._orbit_tree, expanded by orbit id, and certified by its full
+    spectrum walk.
     """
     n = a + b
     _require_listable(n, b)
@@ -219,14 +214,12 @@ def construct_james(a: int, b: int, p: int) -> Element:
     exact = [math.comb(n - s, b - s) for s in range(b)]
     d = min(p_adic_val(x, p) for x in exact)
     mus = [x // p**d % p for x in exact]
-    m, pivots, _, ids = _orbit_echelon(n, b, p)
-    x = _preset_solve(m, pivots, p, [mus[s] for s in _kept_levels(b, p)])
-    if x is None:
+    u = _level_element(n, b, p, {s: mus[s] for s in _kept_levels(b, p)})
+    if u is None:
         raise SelfCheckError(
             f"no G-invariant element with level constants {mus} mod {p} on (n={n}, b={b})"
         )
-    return _certify(Element(n, b, p, x[ids]), "james",
-                    lambda levels: levels == tuple(mus))
+    return _certify(u, "james", lambda levels: levels == tuple(mus))
 
 
 def construct_auto(a: int, b: int, p: int) -> Element:
@@ -280,35 +273,36 @@ def decompose_pointed(w: Element) -> tuple[Element, int]:
     return u, alpha
 
 
-def find_hemmer_by_solver(a: int, b: int, p: int,
-                          budget: int = _COLUMN_BUDGET) -> Element | None:
+def find_hemmer_by_solver(a: int, b: int, p: int) -> Element | None:
     """Search for a qualifying element by pure linear algebra.
 
-    One forward elimination, in place, of the level system on the kept
-    levels. Its kernel vectors pair the elements with every level constant
-    with their kept-level constants. The canonical vector of a free element
-    column has spectrum 0, so only free scalar columns can qualify, and
-    their spectra come from the scalar pivot rows alone, which are zero on
-    the element columns. The first, in column order, that escapes the line
-    of the all-ones spectrum is back-solved, certified and returned. The
-    other levels are the same linear function of the kept ones for every
-    element, so this is the vector a scan of the kernel basis of the
-    all-level system finds. Independent of the classification and of the
-    constructors; returns None when no qualifying element exists.
+    One forward elimination, in place, of the orbit system on the kept
+    levels (tabloid._orbit_echelon). Its kernel vectors pair the
+    G-invariant elements with every level constant with their kept-level
+    constants, which by averaging are those of all elements. The canonical
+    vector of a free element column has spectrum 0, so only free scalar
+    columns can qualify, and their spectra come from the scalar pivot rows
+    alone, which are zero on the element columns. The first, in column
+    order, that escapes the line of the all-ones spectrum is back-solved,
+    expanded by orbit id, certified and returned. Its spectrum, not its
+    vector, is the one a scan of the kernel basis of the all-level system
+    over all C(n, b) blocks finds. Only the subset limit of the b-listing
+    bounds it. Independent of the classification and of the constructors;
+    returns None when no qualifying element exists.
     """
     Partition2(a, b)
     p = _require_word_prime(p)
     n = a + b
-    ncols = _require_columns(n, b, budget)
-    m, pivots, e = _kept_echelon(n, b, p)
-    sf = _f_spectrum(a, b, p).levels
-    sf_kept = Spectrum(p, tuple(sf[v] for v in _kept_levels(b, p)))
+    kept = _kept_levels(b, p)
+    m, pivots, e, ids = _orbit_echelon(n, b, p, kept)
+    ncols = m.shape[1] - len(kept)
+    sf_kept = Spectrum(p, tuple(_f_spectrum(a, b, p).levels[v] for v in kept))
     for g in range(ncols, m.shape[1]):
         if g in pivots[e:]:
             continue
         unit = np.eye(1, m.shape[1], g, dtype=np.int64)[0]
         levels = _kernel_vector(m, p, pivots, unit, first=e)[ncols:]
         if not Spectrum(p, tuple(levels.tolist())).is_multiple_of(sf_kept):
-            u = Element(n, b, p, _kernel_vector(m, p, pivots, unit)[:ncols])
+            u = Element(n, b, p, _kernel_vector(m, p, pivots, unit)[ids])
             return _certify(u, "solver", lambda levels: True)
     return None

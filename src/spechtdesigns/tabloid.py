@@ -42,12 +42,11 @@ and the walk ranks, unranks and lists no subset.
 Every linear question about the level maps is asked of one matrix, the
 stacked system [W_{v,b} | -E] over the requested levels v, with one
 scalar column per level (R. M. Wilson, Europ. J. Combin. 11, 1990). This
-module owns its layout, and constant_level_system is its one builder;
-the solvers take views of its columns. Over GF(p)
-most levels of that system are implied by the others through the
+module owns its layout. constant_level_system builds it over all C(n, b)
+blocks for the oracle: specht_dim and brute_force_h1 eliminate it through
+_kept_echelon, and the integer route takes views of its columns. Over
+GF(p) most levels of that system are implied by the others through the
 composition identity; _kept_levels names the ones that are not.
-_preset_solve back-solves any eliminated system of that layout from its
-scalar coordinates preset to level targets.
 
 The orbit layer shrinks that system for a group G <= S_n whose order is
 a unit mod p (_orbit_tree: iterated wreath products of S_(p-1), one per
@@ -57,9 +56,12 @@ every spectrum that any element reaches. _orbit_canon puts whole arrays
 of masks in a canonical form per orbit, bottom-up by sorting each tree
 node's child fields; np.unique of the forms numbers the orbits; and
 _orbit_level_system lays out the Kramer-Mesner orbit matrix (E. S. Kramer
-and D. M. Mesner, Discrete Math. 15, 1976) on the kept levels in the same
-[W | -E] layout, counting the blocks of each b-orbit that contain an
-orbit representative, one containment test per representative.
+and D. M. Mesner, Discrete Math. 15, 1976) on the requested levels in
+the same [W | -E] layout, counting the blocks of each b-orbit that
+contain an orbit representative, one containment test per
+representative. Every GF(p) witness is solved on it: _level_element
+back-solves the eliminated orbit system from its scalar coordinates
+preset to level targets and expands the solution by orbit id.
 """
 
 from __future__ import annotations
@@ -100,10 +102,10 @@ _MAX_GROUND = 62  # masks live in int64
 # Longest subset listing or element vector accepted: about 12 times the
 # largest shape in the tests and the benchmark, C(21, 10) = 352716.
 _MAX_SUBSETS = 1 << 22
-# Most cells in one level system, 1 GiB of int64. find_t_design_fp at
-# (g, b, t) = (15, 7, 6) solves 5005 x 6436 cells, about 2^24.9; the 11440 x
-# 12871 system of (16, 8, 7) is refused. construct_james solves on orbits
-# and builds no such system.
+# Most cells in one level system, 1 GiB of int64. Only the oracle builds
+# one, and this guards it where no column budget does: specht_dim, and
+# brute_force_h1 under a raised budget, which refuses the 15808 x 12872
+# kept-level system of (8, 8, 3). Witnesses are solved on orbit systems.
 _MAX_CELLS = 1 << 27
 
 
@@ -119,7 +121,7 @@ def _require_listable(n: int, k: int) -> int:
     return size
 
 
-# Default column budget of the solvers that eliminate a whole level system.
+# Default column budget of brute_force_h1 and survey, the oracle's solves.
 _COLUMN_BUDGET = 4000
 
 
@@ -410,6 +412,16 @@ def _drop_into(out: np.ndarray, w: np.ndarray, m: int, j: int, at: int, to: int)
     np.add.at(out[to : to + math.comb(m, j - 1)], dst, w[at : at + size][src])
 
 
+def _require_levels(b: int, levels) -> list[int]:
+    """levels as a list; refuse one that is not an int, then one outside 0..b."""
+    lv = list(levels)
+    _require_ints(lv, "levels")
+    for v in lv:
+        if not 0 <= v <= b:
+            raise ValueError(f"need 0 <= v <= b, got v={v}, b={b}")
+    return lv
+
+
 def psi_levels(n: int, b: int, vec, v: int = 0) -> list[np.ndarray]:
     """psi_k over the integers for every level k = v..b, from one walk down.
 
@@ -419,9 +431,7 @@ def psi_levels(n: int, b: int, vec, v: int = 0) -> list[np.ndarray]:
     and bools are refused, and ints past int64 are read as Python ints.
     """
     _require_ints((n, b), "subset sizes")
-    _require_ints((v,), "level")
-    if not 0 <= v <= b:
-        raise ValueError(f"need 0 <= v <= b, got v={v}, b={b}")
+    _require_levels(b, (v,))
     w = _int_vector(vec, "coefficients")
     if w.shape != (math.comb(n, b),):
         raise ValueError("coefficient vector has the wrong length")
@@ -464,17 +474,13 @@ def constant_level_system(n: int, b: int, levels) -> np.ndarray:
     each level v; u determines c, so the kernel dimension equals the
     dimension of the constant-level space.
 
-    Refuses a level outside 0..b, then more than _MAX_CELLS cells, then
-    allocates the array once and writes each block in place: every
+    Refuses levels past _require_levels, then more than _MAX_CELLS cells,
+    then allocates the array once and writes each block in place: every
     v-combination of member positions is one scatter, over all b-subsets
     at once, to the _rank of the v-subset at those positions.
     """
-    lv = list(levels)
-    _require_ints(lv, "levels")
+    lv = _require_levels(b, levels)
     ncols = _require_listable(n, b)
-    for v in lv:
-        if not 0 <= v <= b:
-            raise ValueError(f"need 0 <= v <= b, got v={v}, b={b}")
     heights = [math.comb(n, v) for v in lv]
     rows, width = sum(heights), ncols + len(lv)
     if rows * width > _MAX_CELLS:
@@ -510,8 +516,9 @@ def _kept_levels(b: int, p: int) -> list[int]:
     return kept[::-1]
 
 
-def _kept_echelon(n: int, b: int, p: int, levels=None) -> tuple[np.ndarray, list[int], int]:
-    """The level system on levels, by default _kept_levels(b, p), eliminated in place.
+def _kept_echelon(n: int, b: int, p: int) -> tuple[np.ndarray, list[int], int]:
+    """The level system on _kept_levels(b, p), eliminated in place: the
+    oracle's system, for specht_dim and brute_force_h1.
 
     The 0/1 element columns are already residues and only the -1 scalar
     entries are reduced, so constant_level_system's array is the one copy.
@@ -520,38 +527,10 @@ def _kept_echelon(n: int, b: int, p: int, levels=None) -> tuple[np.ndarray, list
     columns and e, their count: the first pivot row on a scalar column.
     """
     ncols = math.comb(n, b)
-    system = constant_level_system(n, b, _kept_levels(b, p) if levels is None else levels)
+    system = constant_level_system(n, b, _kept_levels(b, p))
     system[:, ncols:] %= p
     m, pivots = _eliminate(system, p)
     return m, pivots, bisect_left(pivots, ncols)
-
-
-def _preset_solve(m: np.ndarray, pivots: list[int], p: int, targets: list[int]) -> np.ndarray | None:
-    """The element coordinates of the echelon solution (free coordinates
-    zero) of an eliminated level system [W | -E] whose last len(targets)
-    columns are its scalars: back-solved by _kernel_vector from the scalar
-    coordinates preset to the targets mod p. None when a scalar pivot row,
-    zero on the element columns, moves a preset: no element fits.
-    """
-    ncols = m.shape[1] - len(targets)
-    preset = np.zeros(m.shape[1], dtype=np.int64)
-    preset[ncols:] = [t % p for t in targets]
-    x = _kernel_vector(m, p, pivots, preset)
-    if not np.array_equal(x[ncols:], preset[ncols:]):
-        return None
-    return x[:ncols]
-
-
-def _level_element(n: int, b: int, p: int, targets: Mapping[int, int]) -> Element | None:
-    """The echelon element whose level-s sums are all targets[s] mod p:
-    _kept_echelon on the target levels, then _preset_solve. None when no
-    element fits.
-    """
-    p = _require_word_prime(p)
-    _require_ints(targets.values(), "level targets")
-    m, pivots, _ = _kept_echelon(n, b, p, list(targets))
-    x = _preset_solve(m, pivots, p, list(targets.values()))
-    return None if x is None else Element(n, b, p, x)
 
 
 # Masks put in canonical form at a time, to bound the (masks x fields)
@@ -615,27 +594,27 @@ def _orbit_canon(n: int, p: int, masks: np.ndarray) -> np.ndarray:
     return out
 
 
-def _orbit_level_system(n: int, b: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """The Kramer-Mesner system [W_orb | -E] of the G-orbits on the kept
-    levels, and the orbit id of each b-subset in colex order.
+def _orbit_level_system(n: int, b: int, p: int, levels) -> tuple[np.ndarray, np.ndarray]:
+    """The Kramer-Mesner system [W_orb | -E] of the G-orbits on levels,
+    and the orbit id of each b-subset in colex order.
 
     G is the group of _orbit_tree, whose order is a unit mod p. Averaging
-    over G keeps every level constant, so the G-invariant elements, one
+    over G keeps every level sum, so the G-invariant elements, one
     coordinate per b-orbit, reach every spectrum that any element reaches.
     Orbit ids number the b-orbits by size, then by canonical form, so
     that the free columns of an echelon solution, left zero, are the
     largest orbits and the expanded witness has a small support. Rows: per
-    level s of _kept_levels(b, p), one per s-orbit, ascending by canonical
-    form; entry (O_T, O_B) counts the blocks of O_B that contain the
-    representative T, the canonical form, found by one containment test
-    over the b-listing and one np.bincount by orbit id. Entries are exact
-    counts; the scalar column of a row holds -1.
+    level s, one per s-orbit, ascending by canonical form; entry (O_T, O_B)
+    counts the blocks of O_B that contain the representative T, the
+    canonical form, found by one containment test over the b-listing and
+    one np.bincount by orbit id. Entries are exact counts; the scalar
+    column of a row holds -1. Refuses levels past _require_levels first.
     """
+    levels = _require_levels(b, levels)
     masks = subsets_colex(n, b)
     _, ids, sizes = np.unique(_orbit_canon(n, p, masks), return_inverse=True, return_counts=True)
     ids = np.argsort(np.argsort(sizes, kind="stable"))[ids]  # smallest orbits first
     ncols = len(sizes)
-    levels = _kept_levels(b, p)
     reps = [np.unique(_orbit_canon(n, p, subsets_colex(n, s))) for s in levels]
     out = np.zeros((sum(map(len, reps)), ncols + len(levels)), dtype=np.int64)
     held = np.empty_like(masks)
@@ -650,14 +629,35 @@ def _orbit_level_system(n: int, b: int, p: int) -> tuple[np.ndarray, np.ndarray]
     return out, ids
 
 
-def _orbit_echelon(n: int, b: int, p: int) -> tuple[np.ndarray, list[int], int, np.ndarray]:
-    """_orbit_level_system reduced mod p and eliminated in place: the array,
-    its pivot columns, e, their count on the element columns, and the
-    orbit ids of the b-listing."""
-    system, ids = _orbit_level_system(n, b, p)
+def _orbit_echelon(n: int, b: int, p: int, levels) -> tuple[np.ndarray, list[int], int, np.ndarray]:
+    """_orbit_level_system on levels, reduced mod p and eliminated in place:
+    the array, its pivot columns, e, their count on the element columns,
+    and the orbit ids of the b-listing."""
+    system, ids = _orbit_level_system(n, b, p, levels)
     system %= p
     m, pivots = _eliminate(system, p)
     return m, pivots, bisect_left(pivots, int(ids.max()) + 1), ids
+
+
+def _level_element(n: int, b: int, p: int, targets: Mapping[int, int]) -> Element | None:
+    """The element whose level-s sums are all targets[s] mod p, or None.
+
+    The echelon solution (free coordinates zero) of the orbit system on
+    the target levels, back-solved by _kernel_vector from the scalar
+    coordinates preset to the targets, and expanded by orbit id. A scalar
+    pivot row, zero on the element columns, that moves a preset shows that
+    no G-invariant element fits, and so, by averaging, no element.
+    """
+    p = _require_word_prime(p)
+    _require_ints(targets.values(), "level targets")
+    m, pivots, _, ids = _orbit_echelon(n, b, p, list(targets))
+    ncols = m.shape[1] - len(targets)
+    preset = np.zeros(m.shape[1], dtype=np.int64)
+    preset[ncols:] = [t % p for t in targets.values()]
+    x = _kernel_vector(m, p, pivots, preset)
+    if not np.array_equal(x[ncols:], preset[ncols:]):
+        return None
+    return Element(n, b, p, x[ids])
 
 
 def specht_membership(u: Element) -> bool:

@@ -11,6 +11,7 @@ import pytest
 import spechtdesigns
 from spechtdesigns import cli
 from spechtdesigns.cli import main
+from spechtdesigns.designs import wilson_exists
 from spechtdesigns.hemmer import SelfCheckError, construct_auto
 from spechtdesigns.tabloid import element_to_json, element_to_text
 
@@ -420,13 +421,34 @@ def test_poset_huge_shape_exits_2():
     assert "C(1000000, 2) = 499999500000 level pairs" in r.stderr
 
 
-def test_design_oversized_level_system_exits_2():
-    # the (16, 8, 7) design system would be 11440 x 12871 int64 cells,
-    # 1.2 GB per copy
+def test_h1dim_oversized_level_system_exits_2():
+    # under a raised budget the kept-level system of (8, 8, 3) would be
+    # 15808 x 12872 int64 cells, 1.6 GB per copy
+    r = run_capped("h1dim", "--a", "8", "--b", "8", "--p", "3", "--budget", "13000", timeout=20)
+    assert r.returncode == 2
+    assert "15808 rows x 12872 columns = 203480576 cells" in r.stderr
+
+
+def test_design_on_orbits_answers_past_the_cell_limit():
+    # the (16, 8, 7) design system, 11440 x 12871 cells over all blocks, was
+    # refused before designs were solved on G-orbits
     r = run_capped("design", "--g", "16", "--b", "8", "--t", "7", "--mode", "fp",
                    "--p", "3", "--target", "1", timeout=20)
-    assert r.returncode == 2
-    assert "11440 rows x 12871 columns = 147244240 cells" in r.stderr
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == {"exists": False}
+    assert not wilson_exists(16, 8, 7, 3)
+
+
+def test_construct_solve_on_orbits_answers_past_the_cell_limit(tmp_path):
+    # the solver's kept-level system, 15808 x 12872 cells over all blocks,
+    # was refused before it was solved on G-orbits
+    out = tmp_path / "w.json"
+    r = run_capped("construct", "--a", "8", "--b", "8", "--p", "3", "--method", "solve",
+                   "--out", str(out), timeout=20)
+    assert r.returncode == 0, r.stderr
+    r = run_capped("verify", "--file", str(out), timeout=20)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["is_hemmer"] is True
 
 
 def test_construct_james_on_orbits_answers_past_the_cell_limit(tmp_path):

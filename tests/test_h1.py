@@ -186,11 +186,11 @@ def test_orbit_gap_matches_brute_force():
     for p in (3, 5, 7):
         for n in range(2, 14):
             for b in range(1, n // 2 + 1):
-                kept = len(tabloid._kept_levels(b, p))
+                kept = tabloid._kept_levels(b, p)
                 system, pivots, e = tabloid._kept_echelon(n, b, p)
                 dim_D, dim_S = system.shape[1] - len(pivots), math.comb(n, b) - e
-                _, orbit_pivots, orbit_e, _ = tabloid._orbit_echelon(n, b, p)
-                assert kept - (len(orbit_pivots) - orbit_e) == dim_D - dim_S, (n, b, p)
+                _, orbit_pivots, orbit_e, _ = tabloid._orbit_echelon(n, b, p, kept)
+                assert len(kept) - (len(orbit_pivots) - orbit_e) == dim_D - dim_S, (n, b, p)
                 gaps.append(dim_D - dim_S)
     assert len(gaps) == 126 and set(gaps) == {1, 2}
 

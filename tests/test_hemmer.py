@@ -366,7 +366,10 @@ def reference_solver(a: int, b: int, p: int) -> np.ndarray | None:
 
 
 def test_solver_matches_kernel_scan():
-    # forward elimination on the kept levels returns the kernel scan's vector
+    # the solver runs on G-orbits of the kept levels: it finds a witness
+    # exactly where the kernel scan of the full system on every level does,
+    # with the scan's spectrum, and its witness is fixed by every generator
+    # of G
     found = 0
     for p in (3, 5, 7):
         for n in range(2, 14):
@@ -375,15 +378,21 @@ def test_solver_matches_kernel_scan():
                 got = find_hemmer_by_solver(n - b, b, p)
                 if want is None:
                     assert got is None, (n - b, b, p)
-                else:
-                    assert got is not None and np.array_equal(got.vec, want), (n - b, b, p)
-                    found += 1
+                    continue
+                assert got is not None, (n - b, b, p)
+                assert spectrum(got) == spectrum(Element(n, b, p, want)), (n - b, b, p)
+                masks = subsets_colex(n, b)
+                for sigma in generators(n, p):
+                    moved = got.vec[np.searchsorted(masks, permute(masks, sigma))]
+                    assert np.array_equal(moved, got.vec), (n - b, b, p, sigma)
+                found += 1
     assert found > 30
 
 
 def test_solver_budget():
-    with pytest.raises(ValueError):
-        find_hemmer_by_solver(10, 10, 3, budget=100)
+    # the b-listing's limit bounds the solver, as it bounds construct_james
+    with pytest.raises(ValueError, match=r"^C\(54, 27\) = \d+ subsets exceed the limit of 4194304$"):
+        find_hemmer_by_solver(27, 27, 3)
 
 
 def test_decompose_pointed_base_shapes():

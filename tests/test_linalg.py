@@ -309,17 +309,16 @@ JAMES_BENCH = ((8, 3, 3), (8, 4, 3), (9, 3, 5), (9, 4, 5), (14, 3, 5), (4, 4, 5)
 
 def test_solve_matches_rref_on_level_systems(monkeypatch):
     """Every GF(p) level system the library solves here: the t-designs with
-    g <= 10, 0 <= t < b < g, targets 0, 1, 2 and p in {3, 5, 7}, the james
-    benchmark shapes and (8, 5, 3) give the RREF's canonical solution of
-    W x = targets, or None exactly where the RREF finds a pivot in the rhs
-    column. Target 0 gives it, the zero element, without a level solve.
-    The james systems are the orbit systems, solved by the back-solve the
-    t-designs share, and their witnesses are the solutions expanded by
-    orbit id."""
+    g <= 10, 0 <= t < b < g, targets 0, 1, 2 and p in {3, 5, 7}, and the
+    james systems of the benchmark shapes and (8, 5, 3). Each is solved on
+    G-orbits, and a solution exists exactly where the RREF of the system
+    over all C(g, b) blocks finds no pivot in the rhs column. The witness
+    is the RREF's canonical solution of the orbit system, expanded by orbit
+    id. Target 0 gives the zero element, the full system's canonical
+    solution, without a level solve."""
     solved = {True: 0, False: 0}
     homogeneous = 0
     real = tabloid._level_element
-    real_solve = tabloid._preset_solve
 
     def canonical(system, targets, p):
         ncols = system.shape[1] - len(targets)
@@ -327,22 +326,18 @@ def test_solve_matches_rref_on_level_systems(monkeypatch):
         return canonical_solution(np.column_stack([system[:, :ncols], rhs]) % p, p)
 
     def checked(n, b, p, targets):
-        want = canonical(constant_level_system(n, b, list(targets)), list(targets.values()), p)
+        levels, values = list(targets), list(targets.values())
+        exists = canonical(constant_level_system(n, b, levels), values, p) is not None
         got = real(n, b, p, targets)
-        if want is None:
-            assert got is None
-        else:
-            assert got is not None and np.array_equal(got.vec, want)
-        solved[want is not None] += 1
+        assert (got is not None) == exists, (n, b, p, targets)
+        if exists:
+            system, ids = tabloid._orbit_level_system(n, b, p, levels)
+            assert np.array_equal(got.vec, canonical(system, values, p)[ids]), (n, b, p, targets)
+        solved[exists] += 1
         return got
 
-    def counted(m, pivots, p, targets):
-        x = real_solve(m, pivots, p, targets)
-        solved[x is not None] += 1
-        return x
-
     monkeypatch.setattr(designs, "_level_element", checked)
-    monkeypatch.setattr(hemmer, "_preset_solve", counted)
+    monkeypatch.setattr(hemmer, "_level_element", checked)
     for p in (3, 5, 7):
         for g in range(2, 11):
             for b in range(1, g):
@@ -358,13 +353,7 @@ def test_solve_matches_rref_on_level_systems(monkeypatch):
                             homogeneous += 1
     assert solved == {True: 826, False: 164} and homogeneous == 495  # 1485 systems
     for a, b, p in JAMES_BENCH + ((8, 5, 3),):
-        u = construct_james(a, b, p)
-        n = a + b
-        exact = [math.comb(n - s, b - s) for s in range(b)]
-        d = min(numtheory.p_adic_val(x, p) for x in exact)
-        system, ids = tabloid._orbit_level_system(n, b, p)
-        want = canonical(system, [exact[s] // p**d for s in tabloid._kept_levels(b, p)], p)
-        assert want is not None and np.array_equal(u.vec, want[ids]), (a, b, p)
+        construct_james(a, b, p)
     assert solved == {True: 826 + len(JAMES_BENCH) + 1, False: 164}
 
 
@@ -374,15 +363,25 @@ def test_level_element_at_word_size_prime(n, b, levels):
     # presets near p put several terms of about p^2 in one residual row
     p = 2147483629
     targets = {s: -math.comb(n - s, b - s) % p for s in levels}
-    u = tabloid._level_element(n, b, p, targets)
-    assert u is not None
-    levels_of_u = spectrum(u).levels
-    assert all(levels_of_u[s] == mu for s, mu in targets.items())
+    # the system over all C(n, b) blocks, eliminated and back-solved from
+    # the presets, gives the RREF's canonical solution
     system = constant_level_system(n, b, levels)
     ncols = system.shape[1] - len(levels)
+    m, pivots = linalg._eliminate(system % p, p)
+    preset = np.zeros(system.shape[1], dtype=np.int64)
+    preset[ncols:] = list(targets.values())
+    x = linalg._kernel_vector(m, p, pivots, preset)
+    assert np.array_equal(x[ncols:], preset[ncols:])
     rhs = -(system[:, ncols:].astype(object) @ np.array(list(targets.values()), dtype=object))
     aug = np.column_stack([system[:, :ncols], (rhs % p).astype(np.int64)])
-    assert np.array_equal(u.vec, canonical_solution(aug, p))
+    assert np.array_equal(x[:ncols], canonical_solution(aug, p))
+    # on orbits G = S_n, whose one b-orbit makes the witness a multiple of
+    # the all-ones element: minus it, here
+    assert not tabloid._orbit_level_system(n, b, p, levels)[1].any()
+    u = tabloid._level_element(n, b, p, targets)
+    assert u == -tabloid.Element.ones(n, b, p)
+    levels_of_u = spectrum(u).levels
+    assert all(levels_of_u[s] == mu for s, mu in targets.items())
 
 
 @pytest.mark.parametrize("run", [

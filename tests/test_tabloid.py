@@ -547,8 +547,8 @@ def test_orbit_canon_counts_the_orbits():
 @pytest.mark.parametrize("n,b,p", [(11, 3, 3), (12, 4, 3), (13, 5, 3), (13, 4, 5),
                                    (12, 6, 5), (14, 5, 7), (13, 6, 7), (16, 8, 3)])
 def test_orbit_system_entries_are_psi_of_orbit_indicators(n, b, p):
-    system, ids = _orbit_level_system(n, b, p)
     levels = _kept_levels(b, p)
+    system, ids = _orbit_level_system(n, b, p, levels)
     ncols = system.shape[1] - len(levels)
     assert ids.shape == (math.comb(n, b),) and ids.max() + 1 == ncols
     reps = [np.unique(_orbit_canon(n, p, subsets_colex(n, s))) for s in levels]
