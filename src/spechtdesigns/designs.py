@@ -34,6 +34,7 @@ from .tabloid import (
     _level_element,
     _ranks,
     _require_listable,
+    _require_walkable,
     constant_level_system,
     psi,
     psi_int,
@@ -225,13 +226,22 @@ def find_t_design_fp(params: DesignParams, target: int) -> Element | None:
     Returns tabloid._level_element on level t, the echelon solution of
     the one-level orbit system of a p'-group expanded by orbit id, or None
     when no design exists (averaging over the group keeps level sums). For
-    a target = 0 mod p the zero element is returned without a system.
+    a target = 0 mod p the zero element is returned without a system. A
+    solution whose psi_t is not the target on every t-subset raises
+    AssertionError. That check walks psi from level b down to t, so a
+    shape whose walk _require_walkable refuses is refused before the solve.
     """
-    _require_word_prime(params.p)  # refused first, as by _level_element
+    g, b, t, p = params.g, params.b, params.t, params.p
+    _require_word_prime(p)  # refused first, as by _level_element
     _require_ints((target,), "level targets")
-    if target % params.p == 0:
-        return Element.zero(params.g, params.b, params.p)
-    return _level_element(params.g, params.b, params.p, {params.t: target})
+    if target % p == 0:
+        return Element.zero(g, b, p)
+    _require_walkable(g, b, t)
+    u = _level_element(g, b, p, {t: target})
+    if u is not None and (psi(u, t) != target % p).any():
+        raise AssertionError(f"t-design on (g={g}, b={b}, t={t}) mod {p} failed its level "
+                             f"check for target {target}")
+    return u
 
 
 def _level_constants(g: int, b: int, t: int, mu) -> list[int]:

@@ -301,7 +301,7 @@ def find_hemmer_by_solver(a: int, b: int, p: int) -> Element | None:
         if g in pivots[e:]:
             continue
         unit = np.eye(1, m.shape[1], g, dtype=np.int64)[0]
-        levels = _kernel_vector(m, p, pivots, unit, first=e)[ncols:]
+        levels = _kernel_vector(m[e:], p, pivots[e:], unit)[ncols:]
         if not Spectrum(p, tuple(levels.tolist())).is_multiple_of(sf_kept):
             u = Element(n, b, p, _kernel_vector(m, p, pivots, unit)[ids])
             return _certify(u, "solver", lambda levels: True)

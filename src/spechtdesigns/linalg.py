@@ -277,10 +277,10 @@ def rank_fp(a: MatFp) -> int:
     return len(pivots)
 
 
-def _kernel_vector(m: np.ndarray, p: int, pivots: list[int], x: np.ndarray, first: int = 0) -> np.ndarray:
+def _kernel_vector(m: np.ndarray, p: int, pivots: list[int], x: np.ndarray) -> np.ndarray:
     """A copy of the residue vector x completed to a kernel vector of the
-    forward echelon form m: the pivot rows from `first` on, last first,
-    each move their pivot coordinate; every other coordinate stays.
+    forward echelon form m: the pivot rows, last first, each move their
+    pivot coordinate; every other coordinate stays.
 
     A row reads only coordinates right of its unit pivot, which the rows
     below it fix, so the solved ones are exact; a moved preset shows that
@@ -290,12 +290,12 @@ def _kernel_vector(m: np.ndarray, p: int, pivots: list[int], x: np.ndarray, firs
     """
     x = x.copy()
     nz = np.flatnonzero(x)
-    t = _matmul_mod(m[first : len(pivots), nz], x[nz, None], p).ravel()
-    for i in range(len(pivots) - 1, first - 1, -1):
-        d = -int(t[i - first]) % p
+    t = _matmul_mod(m[: len(pivots), nz], x[nz, None], p).ravel()
+    for i in range(len(pivots) - 1, -1, -1):
+        d = -int(t[i]) % p
         if d:
             x[pivots[i]] = (x[pivots[i]] + d) % p
-            t[: i - first] = (t[: i - first] + m[first:i, pivots[i]] * d) % p
+            t[:i] = (t[:i] + m[:i, pivots[i]] * d) % p
     return x
 
 

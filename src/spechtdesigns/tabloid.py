@@ -37,7 +37,9 @@ both halves split again, until a block of at most _DROP_BLOCK subsets is
 finished by one np.add.at, on int64 and Python-int entries alike. A
 block lists the j-subsets of [m], so its plan depends on (m, j) alone:
 _drop_plan builds its (dst, src) pairs by the same split, once per shape,
-and the walk ranks, unranks and lists no subset.
+and the walk ranks, unranks and lists no subset. Each level it passes
+must fit the listing limit all the same; _require_walkable refuses the
+walk before its first step.
 
 Every linear question about the level maps is asked of one matrix, the
 stacked system [W_{v,b} | -E] over the requested levels v, with one
@@ -422,6 +424,13 @@ def _require_levels(b: int, levels) -> list[int]:
     return lv
 
 
+def _require_walkable(n: int, b: int, v: int) -> None:
+    """Refuse a psi walk from level b down to v that would list a level
+    past _require_listable: the two ends first, then the levels between."""
+    for k in (b, v, *range(v + 1, b)):
+        _require_listable(n, k)
+
+
 def psi_levels(n: int, b: int, vec, v: int = 0) -> list[np.ndarray]:
     """psi_k over the integers for every level k = v..b, from one walk down.
 
@@ -429,12 +438,14 @@ def psi_levels(n: int, b: int, vec, v: int = 0) -> list[np.ndarray]:
     itself. Entries are Python ints (object dtype) when the int64 bound
     would not hold. n, b, v and vec must hold ints or numpy integers: floats
     and bools are refused, and ints past int64 are read as Python ints.
+    A walk that _require_walkable refuses is refused before any listing.
     """
     _require_ints((n, b), "subset sizes")
     _require_levels(b, (v,))
     w = _int_vector(vec, "coefficients")
     if w.shape != (math.comb(n, b),):
         raise ValueError("coefficient vector has the wrong length")
+    _require_walkable(n, b, v)
     # exact on Python ints: np.abs would wrap at the int64 minimum
     maxabs = max(abs(int(w.max())), abs(int(w.min()))) if w.size else 0
     # largest intermediate: level k-1 before dividing by b-k+1, at most

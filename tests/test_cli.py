@@ -439,6 +439,18 @@ def test_design_on_orbits_answers_past_the_cell_limit():
     assert not wilson_exists(16, 8, 7, 3)
 
 
+@pytest.mark.parametrize("g,b,t,p,k,size", [(62, 61, 30, 3, 30, 450883717216034179),
+                                            (39, 33, 6, 3, 7, 15380937)])
+def test_design_refuses_an_unlistable_level(g, b, t, p, k, size):
+    # refused before the solve: level 30 of 62 points lists too many
+    # subsets, and so would level 7 of 39 points in the psi walk from
+    # level 33 down to 6 that checks a solution
+    r = run_capped("design", "--g", str(g), "--b", str(b), "--t", str(t), "--mode", "fp",
+                   "--p", str(p), "--target", "1", timeout=20)
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == f"error: C({g}, {k}) = {size} subsets exceed the limit of 4194304\n"
+
+
 def test_construct_solve_on_orbits_answers_past_the_cell_limit(tmp_path):
     # the solver's kept-level system, 15808 x 12872 cells over all blocks,
     # was refused before it was solved on G-orbits

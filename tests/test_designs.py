@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from spechtdesigns import designs, tabloid
+from spechtdesigns.cli import main
 from spechtdesigns.designs import (
     DesignParams,
     IntegerDesign,
@@ -238,6 +239,27 @@ def test_find_t_design_verifies():
     assert z is not None and z.is_zero()
     with pytest.raises(ValueError, match="must be ints"):
         find_t_design_fp(DesignParams(6, 3, 1, 3), 1.5)  # solved for target 1
+
+
+def test_find_t_design_checks_its_solution(monkeypatch, capsys):
+    # a solution whose level 1 is not the target was returned as a design
+    def miss(n, b, p, targets):
+        return Element.from_subsets(n, b, p, {(1, 2, 3): 1})
+    monkeypatch.setattr(designs, "_level_element", miss)
+    with pytest.raises(AssertionError, match=r"\(g=9, b=3, t=1\) mod 3 .* target 1$"):
+        find_t_design_fp(DesignParams(9, 3, 1, 3), 1)
+    assert main(["design", "--g", "9", "--b", "3", "--t", "1", "--p", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("self-check failed: t-design on (g=9, b=3, t=1) mod 3")
+
+
+def test_find_t_design_refuses_what_it_cannot_check(monkeypatch):
+    # the check would walk psi from level 33 of 39 points down through
+    # C(39, 19) entries, so the shape is refused before it is solved
+    monkeypatch.setattr(designs, "_level_element", lambda *args: pytest.fail("solved"))
+    with pytest.raises(ValueError, match=r"^C\(39, 7\) = 15380937 subsets exceed the limit"):
+        find_t_design_fp(DesignParams(39, 33, 6, 3), 1)
+    assert find_t_design_fp(DesignParams(39, 33, 6, 3), 3).vec.sum() == 0
 
 
 def test_level_design_exists_examples():

@@ -545,23 +545,37 @@ def test_orbit_canon_counts_the_orbits():
 
 
 @pytest.mark.parametrize("n,b,p", [(11, 3, 3), (12, 4, 3), (13, 5, 3), (13, 4, 5),
-                                   (12, 6, 5), (14, 5, 7), (13, 6, 7), (16, 8, 3)])
+                                   (12, 6, 5), (14, 5, 7), (13, 6, 7), (16, 8, 3),
+                                   (12, 9, 3)])
 def test_orbit_system_entries_are_psi_of_orbit_indicators(n, b, p):
-    levels = _kept_levels(b, p)
-    system, ids = _orbit_level_system(n, b, p, levels)
-    ncols = system.shape[1] - len(levels)
-    assert ids.shape == (math.comb(n, b),) and ids.max() + 1 == ncols
-    reps = [np.unique(_orbit_canon(n, p, subsets_colex(n, s))) for s in levels]
-    rows = np.concatenate([np.searchsorted(subsets_colex(n, s), r) for s, r in zip(levels, reps)])
-    assert system.shape[0] == len(rows)
-    level_of = np.repeat(np.arange(len(levels)), [len(r) for r in reps])
-    for j in range(ncols):
-        walk = psi_levels(n, b, (ids == j).astype(np.int64))
-        want = [walk[levels[k]][row] for k, row in zip(level_of, rows)]
-        assert system[:, j].tolist() == want, j
-    scalars = np.zeros((len(rows), len(levels)), dtype=np.int64)
-    scalars[np.arange(len(rows)), level_of] = -1
-    assert np.array_equal(system[:, ncols:], scalars)
+    # all levels take in s = 0, s = b and the levels that are not kept;
+    # (12, 9, 3) has wide blocks, in 9 orbits
+    for levels in (_kept_levels(b, p), list(range(b + 1))):
+        system, ids = _orbit_level_system(n, b, p, levels)
+        ncols = system.shape[1] - len(levels)
+        assert ids.shape == (math.comb(n, b),) and ids.max() + 1 == ncols
+        reps = [np.unique(_orbit_canon(n, p, subsets_colex(n, s))) for s in levels]
+        rows = np.concatenate([np.searchsorted(subsets_colex(n, s), r)
+                               for s, r in zip(levels, reps)])
+        assert system.shape[0] == len(rows)
+        level_of = np.repeat(np.arange(len(levels)), [len(r) for r in reps])
+        for j in range(ncols):
+            walk = psi_levels(n, b, (ids == j).astype(np.int64))
+            want = [walk[levels[k]][row] for k, row in zip(level_of, rows)]
+            assert system[:, j].tolist() == want, (levels, j)
+        scalars = np.zeros((len(rows), len(levels)), dtype=np.int64)
+        scalars[np.arange(len(rows)), level_of] = -1
+        assert np.array_equal(system[:, ncols:], scalars)
+
+
+def test_psi_refuses_a_walk_past_the_listing_limit(monkeypatch):
+    # from level 33 down to 6 of 39 points the walk lists C(39, 19) entries;
+    # it is refused at its first level past the limit, before any step
+    u = Element.ones(39, 33, 3)
+    monkeypatch.setattr(tabloid, "_drop_once", lambda *args: pytest.fail("walked"))
+    with pytest.raises(ValueError, match=r"^C\(39, 7\) = 15380937 subsets exceed the limit"):
+        psi(u, 6)
+    assert psi(u, 33).shape == (math.comb(39, 33),)
 
 
 def test_composition_identity_small():
