@@ -281,14 +281,13 @@ def find_hemmer_by_solver(a: int, b: int, p: int) -> Element | None:
     G-invariant elements with every level constant with their kept-level
     constants, which by averaging are those of all elements. The canonical
     vector of a free element column has spectrum 0, so only free scalar
-    columns can qualify, and their spectra come from the scalar pivot rows
-    alone, which are zero on the element columns. The first, in column
-    order, that escapes the line of the all-ones spectrum is back-solved,
-    expanded by orbit id, certified and returned. Its spectrum, not its
-    vector, is the one a scan of the kernel basis of the all-level system
-    over all C(n, b) blocks finds. Only the subset limit of the b-listing
-    bounds it. Independent of the classification and of the constructors;
-    returns None when no qualifying element exists.
+    columns can qualify. Each is back-solved once; the first, in column
+    order, whose spectrum (its scalar coordinates) escapes the line of the
+    all-ones spectrum is expanded by orbit id, certified and returned. Its
+    spectrum, not its vector, is the one a scan of the kernel basis of the
+    all-level system over all C(n, b) blocks finds. Only the subset limit
+    of the b-listing bounds it. Independent of the classification and of
+    the constructors; returns None when no qualifying element exists.
     """
     Partition2(a, b)
     p = _require_word_prime(p)
@@ -300,9 +299,7 @@ def find_hemmer_by_solver(a: int, b: int, p: int) -> Element | None:
     for g in range(ncols, m.shape[1]):
         if g in pivots[e:]:
             continue
-        unit = np.eye(1, m.shape[1], g, dtype=np.int64)[0]
-        levels = _kernel_vector(m[e:], p, pivots[e:], unit)[ncols:]
-        if not Spectrum(p, tuple(levels.tolist())).is_multiple_of(sf_kept):
-            u = Element(n, b, p, _kernel_vector(m, p, pivots, unit)[ids])
-            return _certify(u, "solver", lambda levels: True)
+        x = _kernel_vector(m, p, pivots, np.eye(1, m.shape[1], g, dtype=np.int64)[0])
+        if not Spectrum(p, tuple(x[ncols:].tolist())).is_multiple_of(sf_kept):
+            return _certify(Element(n, b, p, x[ids]), "solver", lambda levels: True)
     return None

@@ -59,9 +59,9 @@ of masks in a canonical form per orbit, bottom-up by sorting each tree
 node's child fields; np.unique of the forms numbers the orbits; and
 _orbit_level_system lays out the Kramer-Mesner orbit matrix (E. S. Kramer
 and D. M. Mesner, Discrete Math. 15, 1976) on the requested levels in
-the same [W | -E] layout, counting the blocks of each b-orbit that
-contain an orbit representative, one containment test per
-representative. Every GF(p) witness is solved on it: _level_element
+the same [W | -E] layout. It walks its rows down from level b over the
+forms of the orbits, by the exact division of psi, and lists only the
+b-subsets. Every GF(p) witness is solved on it: _level_element
 back-solves the eliminated orbit system from its scalar coordinates
 preset to level targets and expands the solution by orbit id.
 """
@@ -71,6 +71,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
@@ -431,15 +432,8 @@ def _require_walkable(n: int, b: int, v: int) -> None:
         _require_listable(n, k)
 
 
-def psi_levels(n: int, b: int, vec, v: int = 0) -> list[np.ndarray]:
-    """psi_k over the integers for every level k = v..b, from one walk down.
-
-    Entry k - v of the returned list is psi_k(vec); the last entry is vec
-    itself. Entries are Python ints (object dtype) when the int64 bound
-    would not hold. n, b, v and vec must hold ints or numpy integers: floats
-    and bools are refused, and ints past int64 are read as Python ints.
-    A walk that _require_walkable refuses is refused before any listing.
-    """
+def _psi_walk(n: int, b: int, vec, v: int) -> Iterator[np.ndarray]:
+    """psi_k(vec) for k = b down to v, one at a time: psi_int keeps only the last."""
     _require_ints((n, b), "subset sizes")
     _require_levels(b, (v,))
     w = _int_vector(vec, "coefficients")
@@ -452,7 +446,7 @@ def psi_levels(n: int, b: int, vec, v: int = 0) -> list[np.ndarray]:
     # (b-k+1) * C(n-k+1, b-k+1) * maxabs <= b * C(n, b) * maxabs; it peaks at k = v+1
     bound = max(b - v, 1) * math.comb(n - v, b - v) * max(maxabs, 1)
     w = w.astype(np.int64 if bound < 2**62 else object)
-    out = [w]
+    yield w
     for k in range(b, v, -1):
         d = _drop_once(n, k, w)
         c = b - k + 1
@@ -460,14 +454,24 @@ def psi_levels(n: int, b: int, vec, v: int = 0) -> list[np.ndarray]:
             raise AssertionError(f"inexact division by {c} in psi cascade from level {k} "
                                  f"to {k - 1} (n={n}, b={b})")
         w = d // c
-        out.append(w)
-    out.reverse()
-    return out
+        yield w
+
+
+def psi_levels(n: int, b: int, vec, v: int = 0) -> list[np.ndarray]:
+    """psi_k over the integers for every level k = v..b, from one walk down.
+
+    Entry k - v of the returned list is psi_k(vec); the last entry is vec
+    itself. Entries are Python ints (object dtype) when the int64 bound
+    would not hold. n, b, v and vec must hold ints or numpy integers: floats
+    and bools are refused, and ints past int64 are read as Python ints.
+    A walk that _require_walkable refuses is refused before any listing.
+    """
+    return list(_psi_walk(n, b, vec, v))[::-1]
 
 
 def psi_int(n: int, b: int, vec, v: int) -> np.ndarray:
     """psi_v over the integers: entry Y is sum of vec[X] over X containing Y."""
-    return psi_levels(n, b, vec, v)[0]
+    return deque(_psi_walk(n, b, vec, v), maxlen=1)[0]
 
 
 def psi(u: Element, v: int) -> np.ndarray:
@@ -609,35 +613,41 @@ def _orbit_level_system(n: int, b: int, p: int, levels) -> tuple[np.ndarray, np.
     """The Kramer-Mesner system [W_orb | -E] of the G-orbits on levels,
     and the orbit id of each b-subset in colex order.
 
-    G is the group of _orbit_tree, whose order is a unit mod p. Averaging
-    over G keeps every level sum, so the G-invariant elements, one
-    coordinate per b-orbit, reach every spectrum that any element reaches.
-    Orbit ids number the b-orbits by size, then by canonical form, so
-    that the free columns of an echelon solution, left zero, are the
-    largest orbits and the expanded witness has a small support. Rows: per
-    level s, one per s-orbit, ascending by canonical form; entry (O_T, O_B)
-    counts the blocks of O_B that contain the representative T, the
-    canonical form, found by one containment test over the b-listing and
-    one np.bincount by orbit id. Entries are exact counts; the scalar
-    column of a row holds -1. Refuses levels past _require_levels first.
+    G is the group of _orbit_tree, whose order is a unit mod p. Orbit ids
+    number the b-orbits by size, then by canonical form (a form: the
+    _orbit_canon image that names an orbit), so that the free columns of
+    an echelon solution, left zero, are the largest orbits and the
+    expanded witness has a small support. Rows: per level s, one per
+    s-orbit, ascending by form; entry (O_T, O_B) counts the blocks of O_B
+    that contain a set T of O_T, and the scalar column holds -1. The rows
+    are walked down from level b, the identity in id order, as psi is:
+    W_{k-1,k} W_{k,b} = (b-k+1) W_{k-1,b} holds on orbits too. The
+    (k-1)-forms are those of the k-forms less one point, up[i, j] counts
+    the points x outside (k-1)-form i with i + {x} in k-orbit j, and
+    rows_(k-1) = up rows_k / (b-k+1), a division checked exact. Only the
+    b-listing is built. Refuses levels past _require_levels first.
     """
     levels = _require_levels(b, levels)
-    masks = subsets_colex(n, b)
-    _, ids, sizes = np.unique(_orbit_canon(n, p, masks), return_inverse=True, return_counts=True)
-    ids = np.argsort(np.argsort(sizes, kind="stable"))[ids]  # smallest orbits first
-    ncols = len(sizes)
-    reps = [np.unique(_orbit_canon(n, p, subsets_colex(n, s))) for s in levels]
-    out = np.zeros((sum(map(len, reps)), ncols + len(levels)), dtype=np.int64)
-    held = np.empty_like(masks)
-    hit = np.empty(len(masks), dtype=bool)
-    row = 0
-    for k, level_reps in enumerate(reps):
-        out[row : row + len(level_reps), ncols + k] = -1
-        for t in level_reps.tolist():
-            np.equal(np.bitwise_and(masks, t, out=held), t, out=hit)
-            out[row, :ncols] = np.bincount(ids[hit], minlength=ncols)
-            row += 1
-    return out, ids
+    forms, ids, sizes = np.unique(_orbit_canon(n, p, subsets_colex(n, b)),
+                                  return_inverse=True, return_counts=True)
+    order = np.argsort(np.argsort(sizes, kind="stable"))  # smallest orbits first
+    rows = {b: np.eye(len(sizes), dtype=np.int64)[order]}
+    points = np.int64(1) << np.arange(n, dtype=np.int64)
+    kids = _orbit_canon(n, p, (forms[:, None] ^ points)[(forms[:, None] & points) != 0])
+    for k in range(b, min(levels, default=b), -1):
+        below = np.unique(kids)
+        inside = (below[:, None] & points) != 0
+        # each form less a point inside it, or with a point outside it
+        near = _orbit_canon(n, p, (below[:, None] ^ points).ravel()).reshape(inside.shape)
+        up = np.zeros((len(below), len(forms)), dtype=np.int64)
+        np.add.at(up, (np.nonzero(~inside)[0], np.searchsorted(forms, near[~inside])), 1)
+        d, c = up @ rows[k], b - k + 1
+        if np.count_nonzero(d % c):
+            raise AssertionError(f"inexact division by {c} in orbit walk to level {k - 1}")
+        rows[k - 1], forms, kids = d // c, below, near[inside]
+    w = np.concatenate([rows[s] for s in levels] or [rows[b][:0]])  # no levels: no rows
+    e = np.repeat(np.eye(len(levels), dtype=np.int64), [len(rows[s]) for s in levels], axis=0)
+    return np.hstack([w, -e]), order[ids]
 
 
 def _orbit_echelon(n: int, b: int, p: int, levels) -> tuple[np.ndarray, list[int], int, np.ndarray]:

@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -548,14 +549,16 @@ def test_orbit_canon_counts_the_orbits():
                                    (12, 6, 5), (14, 5, 7), (13, 6, 7), (16, 8, 3),
                                    (12, 9, 3)])
 def test_orbit_system_entries_are_psi_of_orbit_indicators(n, b, p):
-    # all levels take in s = 0, s = b and the levels that are not kept;
-    # (12, 9, 3) has wide blocks, in 9 orbits
-    for levels in (_kept_levels(b, p), list(range(b + 1))):
+    # all levels take in s = 0, s = b and the levels that are not kept; no
+    # level at all and a level list out of order check the layout; (12, 9, 3)
+    # has wide blocks, in 9 orbits
+    for levels in (_kept_levels(b, p), list(range(b + 1)), [], [b, 0]):
         system, ids = _orbit_level_system(n, b, p, levels)
         ncols = system.shape[1] - len(levels)
         assert ids.shape == (math.comb(n, b),) and ids.max() + 1 == ncols
         reps = [np.unique(_orbit_canon(n, p, subsets_colex(n, s))) for s in levels]
-        rows = np.concatenate([np.searchsorted(subsets_colex(n, s), r)
+        rows = np.concatenate([np.zeros(0, dtype=np.int64)] +
+                              [np.searchsorted(subsets_colex(n, s), r)
                                for s, r in zip(levels, reps)])
         assert system.shape[0] == len(rows)
         level_of = np.repeat(np.arange(len(levels)), [len(r) for r in reps])
@@ -566,6 +569,43 @@ def test_orbit_system_entries_are_psi_of_orbit_indicators(n, b, p):
         scalars = np.zeros((len(rows), len(levels)), dtype=np.int64)
         scalars[np.arange(len(rows)), level_of] = -1
         assert np.array_equal(system[:, ncols:], scalars)
+
+
+def test_orbit_system_of_the_trivial_group_is_the_level_system(monkeypatch):
+    # with every mask its own form, each orbit is one block and the walk
+    # must lay out constant_level_system itself, columns in colex order
+    monkeypatch.setattr(tabloid, "_orbit_canon", lambda n, p, masks: masks)
+    for n in range(1, 12):
+        for b in range(1, n + 1):
+            for levels in (list(range(b + 1)), _kept_levels(b, 3), [b - 1]):
+                system, ids = _orbit_level_system(n, b, 3, levels)
+                assert np.array_equal(system, constant_level_system(n, b, levels)), (n, b, levels)
+                assert np.array_equal(ids, np.arange(math.comb(n, b)))
+
+
+def test_orbit_system_lists_only_the_blocks():
+    # the rows come from the forms of the b-orbits, walked down: no
+    # s-listing is built for the levels 5 and 7
+    subsets_colex.cache_clear()
+    _orbit_level_system(16, 8, 3, [5, 7])
+    assert subsets_colex.cache_info().currsize == 1
+
+
+def test_psi_int_holds_one_level_of_its_walk():
+    # levels 13 down to 5 of 18 points, 2.03 MB of int64 in all; the walk
+    # holds the level it reached, the next one before and after its
+    # division, and block temporaries, about 3 times the largest level
+    n, b, v = 18, 13, 5
+    vec = np.ones(math.comb(n, b), dtype=np.int64)
+    psi_int(n, b, vec, v)  # warm the drop plans
+    tracemalloc.start()
+    try:
+        psi_int(n, b, vec, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    largest = 8 * max(math.comb(n, k) for k in range(v, b + 1))
+    assert peak < 4 * largest, (peak, largest)
 
 
 def test_psi_refuses_a_walk_past_the_listing_limit(monkeypatch):
