@@ -1,16 +1,21 @@
 """Exact dense linear algebra over GF(p) and over the integers.
 
-GF(p) matrices hold word-sized residues (p < 2^31) in numpy int64 arrays.
+GF(p) works on word-sized residues (p < 2^31). MatFp holds them in int64;
+the elimination takes them in any signed integer type that holds p - 1,
+and _narrowest_int is the one rule that picks the narrowest such type for
+a bound, so the oracle's level system is int8 for p <= 127.
 One blocked forward echelon core serves rank, kernel vectors and affine
 solve: pivots are found per column inside a panel, whose work copy also
 records the row operations as coefficients on the pivot rows, and the rest
 of the matrix receives them as one row permutation and one matrix product.
 That product runs in float64 BLAS only on chunks whose integer dot
 products are proven below 2^53, where float64 is exact, and in int64
-otherwise. Inside the panel, rows go unreduced between updates only while
-proven below 2^63. Each bound is asserted where it is taken, so there is
-no inexact arithmetic: float64 never holds a value it cannot represent,
-and int64 never wraps. Nothing is cleared above the pivots: each vector is
+otherwise, and each slab is accumulated in int64 whatever the matrix's
+type. Inside the panel, rows go unreduced between updates only while
+proven to fit the work copy's type, the narrowest that holds that bound.
+Each bound is asserted where it is taken, so there is no inexact
+arithmetic: float64 never holds a value it cannot represent, and no
+integer type wraps. Nothing is cleared above the pivots: each vector is
 a kernel vector completed bottom-up from preset coordinates, one column at
 a time (_kernel_vector); A x = b presets the last coordinate of [A | -b].
 Integer solving works on arbitrary-precision Python ints via a column
@@ -103,14 +108,25 @@ class MatFp:
 
 
 # Columns per elimination panel. On the 113 sweep systems 64 to 192 tie and
-# 256 is slower. At brute_force_h1(7, 7, 3) 192 is about 10% faster, but at
-# (7, 6, 3) its temporaries are 0.51 times the system against 0.41 at 128.
+# 256 is slower. At brute_force_h1(7, 7, 3) 192 is about 7% faster, but the
+# elimination's temporaries grow from 7.7 to 9.3 MB against its 13.8 MB
+# int8 system. At 128 they are the rows x 256 work array (int16 for
+# p <= 7) and, for the most part, _matmul_mod's column slabs.
 _PANEL = 128
 # Bytes of float64 temporaries per column slab of one modular product.
 _SLAB_BYTES = 2 << 20
 # float64 represents every integer below 2^53 exactly.
 _FLOAT_EXACT = 1 << 53
 _INT64_MAX = (1 << 63) - 1
+
+
+def _narrowest_int(bound: int) -> type:
+    """The narrowest of int8, int16, int32 and int64 that holds every integer
+    of absolute value at most bound."""
+    for t in (np.int8, np.int16, np.int32, np.int64):
+        if bound <= np.iinfo(t).max:
+            return t
+    raise ValueError(f"no signed integer type holds {bound}")
 
 
 def _float_chunk(p: int) -> int:
@@ -128,9 +144,11 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int, out: np.ndarray | None = N
                 rows=slice(None)) -> np.ndarray:
     """Exact out[rows] = (out[rows] + a @ b) mod p for residue matrices.
 
-    out is updated in place and returned; without it the product alone is.
-    b may share memory with out: each slab of b is copied before out is
-    written.
+    out is updated in place and returned; without it the product alone is,
+    in int64. a, b and out may have any integer type that holds their
+    residues: each slab of out is accumulated in int64 and the reduced
+    residues are written back. b may share memory with out: each slab of b
+    is copied before out is written.
 
     Entries of a, b and out lie in [0, p). Every partial sum of a dot
     product is then a nonnegative integer no larger than the whole, so a
@@ -152,7 +170,7 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int, out: np.ndarray | None = N
     for s0 in range(0, b.shape[1], width):
         cols = slice(s0, s0 + width)
         bs = b[:, cols].astype(dtype)
-        acc = out[rows, cols]
+        acc = out[rows, cols].astype(np.int64, copy=False)
         for lo in range(0, inner, chunk):
             hi = min(lo + chunk, inner)
             if dtype is np.float64:
@@ -176,6 +194,10 @@ def _eliminate(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Row reduce m in place to forward echelon form with unit pivots;
     return it and the pivot columns. Entries above the pivots stay.
 
+    m holds residues in any signed integer type that holds p - 1; the
+    work stays exact in whatever type m has, and an m whose type cannot
+    hold p - 1 is refused.
+
     Columns are taken in panels of _PANEL. Inside a panel the pivots are
     found one at a time as in plain Gaussian elimination, on a work copy
     of the panel that also records each row's operations as coefficients
@@ -185,6 +207,8 @@ def _eliminate(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     one) is the plain one, so the pivots and the reduced matrix are exactly
     those of per-pivot elimination.
     """
+    if m.dtype.kind != "i" or np.iinfo(m.dtype).max < p - 1:
+        raise ValueError(f"residues mod {p} do not fit a {m.dtype} matrix")
     rows, cols = m.shape
     pivots: list[int] = []
     r = 0
@@ -214,16 +238,20 @@ def _factor_panel(m: np.ndarray, p: int, r0: int, c0: int, c1: int) -> list[int]
 
     While _lazy(p), rows are not reduced after an update: an entry starts
     as a residue and takes at most one update per pivot, each below
-    (p-1)^2, and a pivot row is scaled by a residue before it is reduced.
-    The pivot column is reduced before its nonzero search, so the pivot and
-    the multipliers are residues; the rest is reduced once, at the end.
+    (p-1)^2, and a pivot row is scaled by a residue before it is reduced,
+    so no entry passes (w (p-1)^2 + p) p and the work array takes the
+    narrowest type that holds it: int16 for p <= 7 at w = 128. The pivot
+    column is reduced before its nonzero search, so the pivot and the
+    multipliers are residues; the rest is reduced once, at the end.
+    Otherwise the work array is int64 and each update is reduced.
     """
     w = c1 - c0
-    work = np.zeros((m.shape[0] - r0, 2 * w), dtype=np.int64)
+    lazy = _lazy(p)
+    bound = (w * (p - 1) ** 2 + p) * p
+    assert not lazy or bound <= _INT64_MAX, "int64 overflow in unreduced rows"
+    work = np.zeros((m.shape[0] - r0, 2 * w), dtype=_narrowest_int(bound) if lazy else np.int64)
     work[:, :w] = m[r0:, c0:c1]
     perm = list(range(work.shape[0]))
-    lazy = _lazy(p)
-    assert not lazy or (w * (p - 1) ** 2 + p) * p <= _INT64_MAX, "int64 overflow in unreduced rows"
     pc: list[int] = []
     for c in np.flatnonzero(work[:, :w].any(axis=0)).tolist():
         r = len(pc)
@@ -286,7 +314,7 @@ def _kernel_vector(m: np.ndarray, p: int, pivots: list[int], x: np.ndarray) -> n
     below it fix, so the solved ones are exact; a moved preset shows that
     none is consistent. t holds each unsolved row's residual: m x through
     _matmul_mod, since three terms of (p-1)^2 can pass 2^63, then updates
-    below p + p^2 < 2^63.
+    below p + p^2 < 2^63, taken in int64 whatever m's type.
     """
     x = x.copy()
     nz = np.flatnonzero(x)
@@ -295,7 +323,7 @@ def _kernel_vector(m: np.ndarray, p: int, pivots: list[int], x: np.ndarray) -> n
         d = -int(t[i]) % p
         if d:
             x[pivots[i]] = (x[pivots[i]] + d) % p
-            t[:i] = (t[:i] + m[:i, pivots[i]] * d) % p
+            t[:i] = (t[:i] + m[:i, pivots[i]].astype(np.int64) * d) % p
     return x
 
 

@@ -44,9 +44,11 @@ walk before its first step.
 Every linear question about the level maps is asked of one matrix, the
 stacked system [W_{v,b} | -E] over the requested levels v, with one
 scalar column per level (R. M. Wilson, Europ. J. Combin. 11, 1990). This
-module owns its layout. constant_level_system builds it over all C(n, b)
-blocks for the oracle: specht_dim and brute_force_h1 eliminate it through
-_kept_echelon, and the integer route takes views of its columns. Over
+module owns its layout, and one routine writes it over all C(n, b) blocks
+in a given integer type: constant_level_system returns it in int64, and
+the integer route takes views of its columns; _kept_echelon writes it in
+the narrowest type that holds p - 1 (int8 for p <= 127) and eliminates it
+for the oracle, specht_dim and brute_force_h1. Over
 GF(p) most levels of that system are implied by the others through the
 composition identity; _kept_levels names the ones that are not.
 
@@ -79,7 +81,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .linalg import _eliminate, _int64_array, _kernel_vector, _require_word_prime
+from .linalg import _eliminate, _int64_array, _kernel_vector, _narrowest_int, _require_word_prime
 from .numtheory import _int_vector, _require_ints, all_binoms_divisible, require_odd_prime
 
 __all__ = [
@@ -105,10 +107,11 @@ _MAX_GROUND = 62  # masks live in int64
 # Longest subset listing or element vector accepted: about 12 times the
 # largest shape in the tests and the benchmark, C(21, 10) = 352716.
 _MAX_SUBSETS = 1 << 22
-# Most cells in one level system, 1 GiB of int64. Only the oracle builds
-# one, and this guards it where no column budget does: specht_dim, and
-# brute_force_h1 under a raised budget, which refuses the 15808 x 12872
-# kept-level system of (8, 8, 3). Witnesses are solved on orbit systems.
+# Most cells in one level system: 1 GiB in int64, 128 MiB in the oracle's
+# int8. Only the oracle builds one, and this guards it where no column
+# budget does: specht_dim, and brute_force_h1 under a raised budget, which
+# refuses the 15808 x 12872 kept-level system of (8, 8, 3). Witnesses are
+# solved on orbit systems.
 _MAX_CELLS = 1 << 27
 
 
@@ -494,6 +497,11 @@ def constant_level_system(n: int, b: int, levels) -> np.ndarray:
     v-combination of member positions is one scatter, over all b-subsets
     at once, to the _rank of the v-subset at those positions.
     """
+    return _level_system(n, b, levels, np.int64)
+
+
+def _level_system(n: int, b: int, levels, dtype: type) -> np.ndarray:
+    """constant_level_system's array, allocated and written in dtype."""
     lv = _require_levels(b, levels)
     ncols = _require_listable(n, b)
     heights = [math.comb(n, v) for v in lv]
@@ -501,7 +509,7 @@ def constant_level_system(n: int, b: int, levels) -> np.ndarray:
     if rows * width > _MAX_CELLS:
         raise ValueError(f"level system of {rows} rows x {width} columns = {rows * width} "
                          f"cells exceeds the limit of {_MAX_CELLS}")
-    out = np.zeros((rows, width), dtype=np.int64)
+    out = np.zeros((rows, width), dtype=dtype)
     flat = out.reshape(-1)
     cols = np.arange(ncols)
     rows = _members(n, b, cols)
@@ -535,17 +543,25 @@ def _kept_echelon(n: int, b: int, p: int) -> tuple[np.ndarray, list[int], int]:
     """The level system on _kept_levels(b, p), eliminated in place: the
     oracle's system, for specht_dim and brute_force_h1.
 
-    The 0/1 element columns are already residues and only the -1 scalar
-    entries are reduced, so constant_level_system's array is the one copy.
-    Panels run left to right, so the pivots among the first C(n, b) columns
-    are those of the element columns alone. Returns the array, its pivot
-    columns and e, their count: the first pivot row on a scalar column.
+    The layout is written straight into the narrowest type that holds
+    p - 1 (_narrowest_int: int8 for p <= 127), where the 0/1 element
+    columns are already residues and only the -1 scalar entries are
+    reduced, so that array is the one copy. Panels run left to right, so
+    the pivots among the first C(n, b) columns are those of the element
+    columns alone. Returns the array, its pivot columns and e, their
+    count: the first pivot row on a scalar column. For a >= b, James'
+    kernel intersection theorem gives dim S = C(n, b) - C(n, b-1), so e
+    must be C(n, b-1); a count that is not raises AssertionError.
     """
     ncols = math.comb(n, b)
-    system = constant_level_system(n, b, _kept_levels(b, p))
+    system = _level_system(n, b, _kept_levels(b, p), _narrowest_int(p - 1))
     system[:, ncols:] %= p
     m, pivots = _eliminate(system, p)
-    return m, pivots, bisect_left(pivots, ncols)
+    e, want = bisect_left(pivots, ncols), math.comb(n, b - 1)
+    if e != want:
+        raise AssertionError(f"{e} element pivots where the kernel intersection theorem "
+                             f"needs C({n}, {b - 1}) = {want} (a={n - b}, b={b}, p={p})")
+    return m, pivots, e
 
 
 # Masks put in canonical form at a time, to bound the (masks x fields)

@@ -196,12 +196,13 @@ def test_orbit_gap_matches_brute_force():
 
 
 def test_brute_force_holds_one_copy_of_its_system():
-    # the peak is the system's one array plus the elimination's own panel
-    # temporaries, measured first on an array built before tracing began:
-    # 8.8 MB, 0.41 times the 21.6 MB system, mostly the rows x 2*_PANEL
-    # work array; a second copy of the system would add a whole system's bytes
+    # the peak is the system's one array plus the elimination's own
+    # temporaries, measured first on an array built before tracing began, in
+    # the oracle's type: 6.4 MB against the 2.7 MB int8 system, mostly the
+    # column slabs of the trailing products; a second copy of the system
+    # would add a whole system's bytes
     n, b, p = 13, 6, 3
-    system = constant_level_system(n, b, tabloid._kept_levels(b, p))
+    system = tabloid._level_system(n, b, tabloid._kept_levels(b, p), linalg._narrowest_int(p - 1))
     system %= p
     brute_force_h1(n - b, b, p)  # warm the subset listings
     tracemalloc.start()
@@ -217,16 +218,29 @@ def test_brute_force_holds_one_copy_of_its_system():
 
 
 def test_brute_force_requests_kept_levels(monkeypatch):
+    # the oracle lays out its system through the layout code of
+    # constant_level_system, in the narrowest type that holds p - 1
     requested = []
+    layout = tabloid._level_system
 
-    def record(n, b, levels):
-        requested.append(list(levels))
-        return constant_level_system(n, b, levels)
+    def record(n, b, levels, dtype):
+        requested.append((list(levels), dtype))
+        return layout(n, b, levels, dtype)
 
-    monkeypatch.setattr(tabloid, "constant_level_system", record)
+    monkeypatch.setattr(tabloid, "_level_system", record)
     brute_force_h1(7, 6, 3)
     specht_dim(7, 6, 3)
-    assert requested == [[3, 5], [3, 5]]
+    assert requested == [([3, 5], np.int8), ([3, 5], np.int8)]
+
+
+def test_oracle_checks_the_kernel_intersection_count(monkeypatch):
+    # dropping kept level 3 of (7, 6, 3) leaves W_{5,6} alone, of 3-rank
+    # 1078 (Wilson) where James' theorem needs C(13, 5) = 1287 element pivots
+    assert tabloid._kept_echelon(13, 6, 3)[2] == math.comb(13, 5)
+    monkeypatch.setattr(tabloid, "_kept_levels", lambda b, p: [5])
+    for call in (lambda: brute_force_h1(7, 6, 3), lambda: specht_dim(7, 6, 3)):
+        with pytest.raises(AssertionError, match=r"^1078 element pivots .* = 1287 \(a=7, b=6, p=3\)"):
+            call()
 
 
 def test_self_check_errors_name_the_shape(monkeypatch):

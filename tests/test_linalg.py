@@ -150,6 +150,65 @@ def test_eliminate_matches_reference(monkeypatch, p, panel):
             assert np.array_equal(got[0], want[0])
 
 
+# (p, the narrowest type of its residues, the panel's work type at _PANEL):
+# int8 and int16 systems, int16, int32 and int64 lazy panels, and the
+# int64 panel that reduces each update
+DTYPE_ROUTES = ((3, np.int8, np.int16), (11, np.int8, np.int32), (127, np.int8, np.int32),
+                (131, np.int16, np.int32), (LAZY_EDGE[0], np.int32, np.int64),
+                (LAZY_EDGE[1], np.int32, None))
+
+
+def test_narrowest_int_edges():
+    for bound, want in ((0, np.int8), (127, np.int8), (128, np.int16), (32767, np.int16),
+                        (32768, np.int32), ((1 << 31) - 1, np.int32), (1 << 31, np.int64),
+                        ((1 << 63) - 1, np.int64)):
+        assert linalg._narrowest_int(bound) is want, bound
+    with pytest.raises(ValueError):
+        linalg._narrowest_int(1 << 63)
+
+
+@pytest.mark.parametrize("p, system, panel", DTYPE_ROUTES)
+def test_eliminate_dtype_routes(p, system, panel):
+    # every signed type that holds p - 1 gives the int64 echelon and pivots
+    # and keeps its own type; a narrower one, or no signed integer type, is refused
+    assert linalg._narrowest_int(p - 1) is system
+    bound = (linalg._PANEL * (p - 1) ** 2 + p) * p
+    assert (linalg._narrowest_int(bound) if linalg._lazy(p) else None) is panel
+    rng = np.random.default_rng(p % 1000 + 7)
+    for a in random_cases(rng, p, linalg._PANEL):
+        want, want_pivots = linalg._eliminate(a.astype(np.int64), p)
+        for t in (np.int8, np.int16, np.int32):
+            if np.iinfo(t).max < p - 1:
+                with pytest.raises(ValueError, match="do not fit"):
+                    linalg._eliminate(a.astype(t), p)
+                continue
+            got, pivots = linalg._eliminate(a.astype(t), p)
+            assert got.dtype == t and pivots == want_pivots
+            assert np.array_equal(got.astype(np.int64), want)
+    for t in (np.uint8, np.float64):
+        with pytest.raises(ValueError, match="do not fit"):
+            linalg._eliminate(np.ones((2, 2), dtype=t), p)
+
+
+def wilson_rank(n: int, t: int, k: int, p: int) -> int:
+    """The p-rank of W_{t,k} on n points for t <= min(k, n - k) (R. M.
+    Wilson, Europ. J. Combin. 11, 1990), in exact integers."""
+    return sum(math.comb(n, i) - (math.comb(n, i - 1) if i else 0)
+               for i in range(t + 1) if math.comb(k - i, t - i) % p)
+
+
+def test_eliminate_matches_wilson_rank():
+    # single-level inclusion matrices past the per-pivot reference's reach,
+    # laid out as the oracle lays out its system: int8 residues for
+    # p <= 127 and int16 for 131, int16 panels for p <= 7 and int32 above
+    for p in (3, 5, 7, 127, 131):
+        for n in (14, 15):
+            for k in range(1, n // 2 + 1):
+                for t in range(min(k, 4)):
+                    w = tabloid._level_system(n, k, [t], linalg._narrowest_int(p - 1))[:, :-1]
+                    assert len(linalg._eliminate(w, p)[1]) == wilson_rank(n, t, k, p), (n, t, k, p)
+
+
 def test_eliminate_matches_reference_on_sweep():
     """Every brute-force H^1 system with a + b <= 13 and p in {3, 5}.
 
@@ -252,6 +311,21 @@ def solve(a: np.ndarray, rhs, p: int) -> np.ndarray | None:
     preset[-1] = 1
     x = linalg._kernel_vector(m, p, pivots, preset)
     return x[:-1] if x[-1] == 1 else None
+
+
+def test_kernel_vector_of_a_narrow_echelon():
+    # at p = 127 an int8 column times a residue wraps unless it is widened
+    p = 127
+    rng = np.random.default_rng(127)
+    for _ in range(20):
+        a = rng.integers(0, p, size=(6, 9))
+        m, pivots = linalg._eliminate(a.copy(), p)
+        preset = np.zeros(9, dtype=np.int64)
+        free = [c for c in range(9) if c not in pivots]
+        preset[free] = rng.integers(0, p, size=len(free))
+        want = linalg._kernel_vector(m, p, pivots, preset)
+        assert not exact_product(a, want.reshape(-1, 1), p).any()
+        assert np.array_equal(linalg._kernel_vector(m.astype(np.int8), p, pivots, preset), want)
 
 
 def test_affine_solution_against_enumeration():
