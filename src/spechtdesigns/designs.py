@@ -280,6 +280,18 @@ class IntegerDesign:
         if len(self.coeffs) != math.comb(self.g, self.b):
             raise ValueError("coefficient vector has the wrong length")
 
+    @classmethod
+    def _of_coeffs(cls, g: int, b: int, coeffs: tuple[int, ...]) -> "IntegerDesign":
+        """A design on coeffs itself, with no check.
+
+        Only for a tuple of C(g, b) Python ints that the caller has just
+        built, where g and b have passed the checks of __post_init__.
+        """
+        u = object.__new__(cls)
+        for name, value in (("g", g), ("b", b), ("coeffs", coeffs)):
+            object.__setattr__(u, name, value)
+        return u
+
     def hat_values(self, s: int) -> list[int]:
         """Level-s sums over supersets, exactly over Z."""
         arr = psi_int(self.g, self.b, np.array(self.coeffs, dtype=object), s)
@@ -354,7 +366,7 @@ def null_design_generator(g: int, b: int, t: int, pairs, fixed=()) -> IntegerDes
     signs = (-1) ** (t + 1 - picks.sum(axis=1))
     for r, c in zip(_ranks(g, b, np.sort(blocks, axis=1)).tolist(), signs.tolist()):
         coeffs[r] = c
-    return IntegerDesign(g, b, tuple(coeffs))
+    return IntegerDesign._of_coeffs(g, b, tuple(coeffs))
 
 
 @dataclass(frozen=True)

@@ -5,17 +5,18 @@ the elimination takes them in any signed integer type that holds p - 1,
 and _narrowest_int is the one rule that picks the narrowest such type for
 a bound, so the oracle's level system is int8 for p <= 127.
 One blocked forward echelon core serves rank, kernel vectors and affine
-solve: pivots are found per column inside a panel, whose work copy also
-records the row operations as coefficients on the pivot rows, and the rest
-of the matrix receives them as one row permutation and one matrix product.
-That product runs in float64 BLAS only on chunks whose integer dot
-products are proven below 2^53, where float64 is exact, and in int64
-otherwise, and each slab is accumulated in int64 whatever the matrix's
-type. Inside the panel, rows go unreduced between updates only while
-proven to fit the work copy's type, the narrowest that holds that bound.
-Each bound is asserted where it is taken, so there is no inexact
-arithmetic: float64 never holds a value it cannot represent, and no
-integer type wraps. Nothing is cleared above the pivots: each vector is
+solve: pivots are found per column inside a panel, whose work copy holds
+only the rows nonzero on the panel and records the row operations as
+coefficients on the pivot rows, and the rest of the matrix receives them
+as one row permutation and one matrix product. That product runs in
+float32 BLAS when its integer dot products are proven below 2^24, in
+float64 BLAS on chunks proven below 2^53, and in int64 otherwise, and
+each slab is accumulated in the narrowest integer type that holds a
+chunk's bound. Inside the panel, rows go unreduced between updates only
+while proven to fit the work copy's type, the narrowest that holds that
+bound. Each bound is asserted where it is taken, so there is no inexact
+arithmetic: no float holds a value it cannot represent, and no integer
+type wraps. Nothing is cleared above the pivots: each vector is
 a kernel vector completed bottom-up from preset coordinates, one column at
 a time (_kernel_vector); A x = b presets the last coordinate of [A | -b].
 Integer solving works on arbitrary-precision Python ints via a column
@@ -107,15 +108,18 @@ class MatFp:
         return f"MatFp(shape={self.shape}, p={self.p})"
 
 
-# Columns per elimination panel. On the 113 sweep systems 64 to 192 tie and
-# 256 is slower. At brute_force_h1(7, 7, 3) 192 is about 7% faster, but the
-# elimination's temporaries grow from 7.7 to 9.3 MB against its 13.8 MB
-# int8 system. At 128 they are the rows x 256 work array (int16 for
-# p <= 7) and, for the most part, _matmul_mod's column slabs.
+# Columns per elimination panel. On the 84 sweep oracle systems and at
+# brute_force_h1(7, 7, 3) 128 ties 192 or is a few percent faster, and
+# 64 and 256 are slower. The work array is kept rows x 256 (int16 for
+# p <= 7): at most 0.23 MB at (7, 6, 3) and 0.55 MB at (7, 7, 3).
 _PANEL = 128
-# Bytes of float64 temporaries per column slab of one modular product.
+# Bytes of one column slab's temporaries in a modular product, counted in
+# the types used (float32 and int16 for p <= 13 in the elimination). This
+# sets the elimination's peak: 2.5 MB at (7, 6, 3) and 3.3 MB at (7, 7, 3).
+# 1 to 8 MiB take the same time there.
 _SLAB_BYTES = 2 << 20
-# float64 represents every integer below 2^53 exactly.
+# float32 and float64 represent every integer below 2^24 and 2^53 exactly.
+_FLOAT32_EXACT = 1 << 24
 _FLOAT_EXACT = 1 << 53
 _INT64_MAX = (1 << 63) - 1
 
@@ -140,42 +144,67 @@ def _lazy(p: int) -> bool:
     return (_PANEL * (p - 1) ** 2 + p) * p <= _INT64_MAX
 
 
+def _product_route(p: int, inner: int) -> tuple[int, type, type]:
+    """The chunk length, product type and accumulator type of _matmul_mod
+    for residues mod p and an inner dimension of inner.
+
+    float32 when inner (p-1)^2 + p < 2^24, else float64 chunks while a
+    single term fits 2^53, else int64; the accumulator is the narrowest
+    type that holds a chunk's bound, whose exactness is asserted here.
+    """
+    term = (p - 1) ** 2
+    if inner * term + p < _FLOAT32_EXACT:
+        chunk, dtype, exact = inner, np.float32, _FLOAT32_EXACT
+    elif _float_chunk(p):
+        chunk, dtype, exact = min(_float_chunk(p), inner), np.float64, _FLOAT_EXACT
+    else:
+        chunk, dtype, exact = min((_INT64_MAX - p) // term, inner), np.int64, _INT64_MAX + 1
+    bound = chunk * term + p
+    assert bound < exact, "inexact product"
+    # an empty inner dimension still needs a step for range()
+    return max(chunk, 1), dtype, _narrowest_int(bound)
+
+
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int, out: np.ndarray | None = None,
                 rows=slice(None)) -> np.ndarray:
     """Exact out[rows] = (out[rows] + a @ b) mod p for residue matrices.
 
     out is updated in place and returned; without it the product alone is,
     in int64. a, b and out may have any integer type that holds their
-    residues: each slab of out is accumulated in int64 and the reduced
-    residues are written back. b may share memory with out: each slab of b
-    is copied before out is written.
+    residues. b may share memory with out: each slab of b is copied before
+    out is written.
 
     Entries of a, b and out lie in [0, p). Every partial sum of a dot
     product is then a nonnegative integer no larger than the whole, so a
-    dot product of length k is exact in float64 while k (p-1)^2 + p < 2^53.
-    The inner dimension is cut into chunks that meet that bound, and the
-    int64 accumulator is reduced mod p after each. Primes too large for a
-    single float64 term take the same route with int64 products, which
-    numpy computes without BLAS. Columns go in slabs, so temporaries stay
+    dot product of length k is exact in float32 while k (p-1)^2 + p < 2^24
+    and in float64 while that is below 2^53, and with a residue of out
+    added it fits any integer type that holds k (p-1)^2 + p. The product
+    takes float32 when the whole inner dimension meets the first bound.
+    Otherwise the inner dimension is cut into chunks that meet the second,
+    and primes too large for a single float64 term take int64 products,
+    which numpy computes without BLAS (_product_route). Each chunk's
+    product is cast to the slab's accumulator, the narrowest type that
+    holds a chunk's bound (int16 for p <= 13 at k = 128), and the slab is
+    reduced mod p after each chunk. Columns go in slabs of about
+    _SLAB_BYTES of temporaries, counted in the types used, so they stay
     O(rows x slab).
     """
     if out is None:
         out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    chunk, dtype = _float_chunk(p), np.float64
-    if chunk == 0:
-        chunk, dtype = (_INT64_MAX - p) // ((p - 1) ** 2), np.int64
-    a = a.astype(dtype, copy=False)
     inner = a.shape[1]
-    width = max(1, _SLAB_BYTES // (8 * max(a.shape[0], inner, 1)))
+    chunk, dtype, acc_type = _product_route(p, inner)
+    a = a.astype(dtype, copy=False)
+    # bytes per column: b's slab and the product in dtype, then the
+    # accumulator and either the product's cast or _reduce's quotient
+    size = (np.dtype(dtype).itemsize * (inner + a.shape[0])
+            + 2 * np.dtype(acc_type).itemsize * a.shape[0])
+    width = max(1, _SLAB_BYTES // max(size, 1))
     for s0 in range(0, b.shape[1], width):
         cols = slice(s0, s0 + width)
         bs = b[:, cols].astype(dtype)
-        acc = out[rows, cols].astype(np.int64, copy=False)
+        acc = out[rows, cols].astype(acc_type, copy=False)
         for lo in range(0, inner, chunk):
-            hi = min(lo + chunk, inner)
-            if dtype is np.float64:
-                assert (hi - lo) * (p - 1) ** 2 + p < _FLOAT_EXACT, "inexact float64 product"
-            np.add(acc, a[:, lo:hi] @ bs[lo:hi], out=acc, casting="unsafe")
+            acc += (a[:, lo : lo + chunk] @ bs[lo : lo + chunk]).astype(acc_type, copy=False)
             _reduce(acc, p)
         out[rows, cols] = acc
     return out
@@ -200,12 +229,14 @@ def _eliminate(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
     Columns are taken in panels of _PANEL. Inside a panel the pivots are
     found one at a time as in plain Gaussian elimination, on a work copy
-    of the panel that also records each row's operations as coefficients
-    on the pivot rows (_factor_panel). The rest of the rows then receive
-    the whole panel's row operations as one row permutation and one matrix
-    product. Pivot choice (the first nonzero row at or below the current
-    one) is the plain one, so the pivots and the reduced matrix are exactly
-    those of per-pivot elimination.
+    of the panel's nonzero rows that also records each row's operations
+    as coefficients on the pivot rows (_factor_panel). The rows that took
+    an operation then receive the whole panel's row operations in the
+    trailing columns as one row permutation and one matrix product
+    (_matmul_mod); a row that is zero on the panel takes none. Pivot
+    choice (the first nonzero row at or below the current one) is the
+    plain one, so the pivots and the reduced matrix are exactly those of
+    per-pivot elimination.
     """
     if m.dtype.kind != "i" or np.iinfo(m.dtype).max < p - 1:
         raise ValueError(f"residues mod {p} do not fit a {m.dtype} matrix")
@@ -236,6 +267,13 @@ def _factor_panel(m: np.ndarray, p: int, r0: int, c0: int, c1: int) -> list[int]
     rows and receive (C - [I; 0]) times their first k rows in one product.
     Only columns that are nonzero below r0 at the start can hold a pivot.
 
+    A row that is zero on the panel is never a pivot's first nonzero and
+    takes no update, so it stays zero and its coefficient row stays zero.
+    The work array therefore holds only the panel's nonzero rows and its
+    first w rows, where the pivots land; at (7, 6, 3) that is at most 445
+    of 1,573. The permutation, the moved rows and the rows the product
+    updates are mapped back through their row indices, at.
+
     While _lazy(p), rows are not reduced after an update: an entry starts
     as a residue and takes at most one update per pivot, each below
     (p-1)^2, and a pivot row is scaled by a residue before it is reduced,
@@ -249,8 +287,12 @@ def _factor_panel(m: np.ndarray, p: int, r0: int, c0: int, c1: int) -> list[int]
     lazy = _lazy(p)
     bound = (w * (p - 1) ** 2 + p) * p
     assert not lazy or bound <= _INT64_MAX, "int64 overflow in unreduced rows"
-    work = np.zeros((m.shape[0] - r0, 2 * w), dtype=_narrowest_int(bound) if lazy else np.int64)
-    work[:, :w] = m[r0:, c0:c1]
+    panel = m[r0:, c0:c1]
+    keep = panel.any(axis=1)
+    keep[:w] = True  # pivot j lands in row r0 + j
+    at = np.flatnonzero(keep)
+    work = np.zeros((at.size, 2 * w), dtype=_narrowest_int(bound) if lazy else np.int64)
+    work[:, :w] = panel[at]
     perm = list(range(work.shape[0]))
     pc: list[int] = []
     for c in np.flatnonzero(work[:, :w].any(axis=0)).tolist():
@@ -286,16 +328,16 @@ def _factor_panel(m: np.ndarray, p: int, r0: int, c0: int, c1: int) -> list[int]
     k = len(pc)
     if lazy:
         _reduce(work[:, : w + k], p)
-    m[r0:, c0:c1] = work[:, :w]
+    panel[at] = work[:, :w]
     if k and c1 < m.shape[1]:
         perm = np.array(perm)
         moved = np.flatnonzero(perm != np.arange(perm.size))
-        m[r0 + moved, c1:] = m[r0 + perm[moved], c1:]
+        m[r0 + at[moved], c1:] = m[r0 + at[perm[moved]], c1:]
         coef = work[:, w : w + k]
         # C[j, j] is the inverse of pivot j, so C - [I; 0] is still a residue matrix
         coef[np.arange(k), np.arange(k)] -= 1
         live = np.flatnonzero(coef.any(axis=1))
-        _matmul_mod(coef[live], m[r0 : r0 + k, c1:], p, out=m[:, c1:], rows=r0 + live)
+        _matmul_mod(coef[live], m[r0 : r0 + k, c1:], p, out=m[:, c1:], rows=r0 + at[live])
     return pc
 
 

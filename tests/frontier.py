@@ -24,12 +24,14 @@ CALLS = [
     "hemmer.construct_james(17, 8, 3)",
     "designs.find_t_design_fp(designs.DesignParams(24, 22, 11, 3), 1)",
     "designs.find_t_design_fp(designs.DesignParams(24, 22, 11, 5), 1)",
+    "h1.brute_force_h1(7, 7, 3)",
+    "h1.brute_force_h1(7, 7, 5)",
 ]
 
 # ru_maxrss is in kB on Linux
 CHILD = """\
 import resource, time
-from spechtdesigns import designs, hemmer
+from spechtdesigns import designs, h1, hemmer
 start = time.perf_counter()
 {call}
 print(time.perf_counter() - start, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)

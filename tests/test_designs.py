@@ -406,6 +406,8 @@ def test_null_generator_matches_block_loop():
             d = null_design_generator(g, b, t, pairs, fixed)
             assert d.coeffs == tuple(want)
             assert all(type(c) is int for c in d.coeffs)
+            # built unchecked, it equals the design that passes every check
+            assert d == IntegerDesign(g, b, tuple(want))
 
 
 def test_pods_span_integral_null_space():

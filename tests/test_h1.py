@@ -198,9 +198,12 @@ def test_orbit_gap_matches_brute_force():
 def test_brute_force_holds_one_copy_of_its_system():
     # the peak is the system's one array plus the elimination's own
     # temporaries, measured first on an array built before tracing began, in
-    # the oracle's type: 6.4 MB against the 2.7 MB int8 system, mostly the
-    # column slabs of the trailing products; a second copy of the system
-    # would add a whole system's bytes
+    # the oracle's type; a second copy of the system would add a whole
+    # system's bytes. The temporaries are 2.53 MB against the 2.70 MB int8
+    # system: one column slab of a trailing product, _SLAB_BYTES counted in
+    # float32 and int16, and a panel of at most 445 kept rows. Their bound
+    # leaves 0.84 MB; a work array over all 1,573 rows below the panel with
+    # float64 slabs and an int64 accumulator take 6.36 MB.
     n, b, p = 13, 6, 3
     system = tabloid._level_system(n, b, tabloid._kept_levels(b, p), linalg._narrowest_int(p - 1))
     system %= p
@@ -214,6 +217,7 @@ def test_brute_force_holds_one_copy_of_its_system():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert work < 1.25 * system.nbytes, (work, system.nbytes)
     assert peak < 1.25 * system.nbytes + work, (peak, system.nbytes, work)
 
 

@@ -25,7 +25,8 @@ def brute_solutions(a: np.ndarray, rhs: np.ndarray, p: int) -> set[tuple[int, ..
 
 
 # 2147483629, the second largest prime below 2^31, takes the int64 product
-# route; the others take float64.
+# route; 65521 and 4194301 take float64, and 3, 5 and 7 take float32 at
+# every size these tests use.
 WORD_PRIMES = (3, 5, 7, 65521, 4194301, 2147483629)
 # The largest prime whose panel rows go unreduced between updates at
 # _PANEL = 128, and the next prime, whose rows are reduced after each.
@@ -96,6 +97,45 @@ def test_matmul_mod_exact(p):
     want[[1, 4]] = (want[[1, 4]] + exact_product(a, out, p)) % p
     linalg._matmul_mod(a, out, p, out=out, rows=np.array([1, 4]))
     assert np.array_equal(out, want)
+
+
+# (p, inner dimension, product type, accumulator type): float32 with int16
+# and int32 accumulators, its edge at p = 257 (255 (p-1)^2 + p < 2^24 and
+# 256 (p-1)^2 + p > 2^24), float64 in one chunk and in several, and the
+# int64 products of a prime too large for one float64 term
+MATMUL_ROUTES = ((3, 128, np.float32, np.int16), (13, 128, np.float32, np.int16),
+                 (17, 128, np.float32, np.int32), (257, 255, np.float32, np.int32),
+                 (257, 256, np.float64, np.int32), (65521, 128, np.float64, np.int64),
+                 (4194301, 700, np.float64, np.int64), (2147483629, 5, np.int64, np.int64))
+
+
+@pytest.mark.parametrize("p, inner, product, acc", MATMUL_ROUTES)
+def test_matmul_mod_routes(monkeypatch, p, inner, product, acc):
+    assert linalg._product_route(p, inner)[1:] == (product, acc)
+    reduced, reduce = [], linalg._reduce
+
+    def record(x, p):
+        reduced.append(x.dtype)
+        return reduce(x, p)
+
+    monkeypatch.setattr(linalg, "_reduce", record)
+    rng = np.random.default_rng(inner)
+    residue = linalg._narrowest_int(p - 1)
+    # every term (p-1)^2, into a narrow out on chosen rows
+    a = np.full((3, inner), p - 1, dtype=residue)
+    b = np.full((inner, 4), p - 1, dtype=residue)
+    b[:, 0] = rng.integers(0, p, size=inner)
+    out = rng.integers(0, p, size=(5, 4)).astype(residue)
+    want = out.astype(np.int64)
+    want[[0, 2, 3]] += exact_product(a.astype(np.int64), b.astype(np.int64), p)
+    want %= p
+    linalg._matmul_mod(a, b, p, out=out, rows=np.array([0, 2, 3]))
+    assert out.dtype == residue and np.array_equal(out, want)
+    assert reduced and set(reduced) == {np.dtype(acc)}
+    # an empty inner dimension adds nothing
+    before = out.copy()
+    linalg._matmul_mod(np.zeros((5, 0), dtype=residue), np.zeros((0, 4), dtype=residue), p, out=out)
+    assert np.array_equal(out, before)
 
 
 def test_float_bound_is_asserted(monkeypatch):
