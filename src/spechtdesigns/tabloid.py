@@ -58,14 +58,14 @@ base-(p-1) digit of n). Averaging over G keeps every level sum, so the
 G-invariant elements, one coordinate per G-orbit of b-subsets, reach
 every spectrum that any element reaches. _orbit_canon puts whole arrays
 of masks in a canonical form per orbit, bottom-up by sorting each tree
-node's child fields; np.unique of the forms numbers the orbits; and
-_orbit_level_system lays out the Kramer-Mesner orbit matrix (E. S. Kramer
-and D. M. Mesner, Discrete Math. 15, 1976) on the requested levels in
-the same [W | -E] layout. It walks its rows down from level b over the
-forms of the orbits, by the exact division of psi, and lists only the
-b-subsets. Every GF(p) witness is solved on it: _level_element
-back-solves the eliminated orbit system from its scalar coordinates
-preset to level targets and expands the solution by orbit id.
+node's child fields. _orbit_level_system lays out the Kramer-Mesner orbit
+matrix (E. S. Kramer and D. M. Mesner, Discrete Math. 15, 1976) on the
+requested levels in the same [W | -E] layout. It walks up once from the
+empty set for each level's forms, walks its rows down over them by the
+exact division of psi, and reads the b-listing only to number its
+blocks. Every GF(p) witness is solved on it: _level_element back-solves
+the eliminated orbit system from its scalar coordinates preset to level
+targets and expands the solution by orbit id.
 """
 
 from __future__ import annotations
@@ -635,32 +635,35 @@ def _orbit_level_system(n: int, b: int, p: int, levels) -> tuple[np.ndarray, np.
     an echelon solution, left zero, are the largest orbits and the
     expanded witness has a small support. Rows: per level s, one per
     s-orbit, ascending by form; entry (O_T, O_B) counts the blocks of O_B
-    that contain a set T of O_T, and the scalar column holds -1. The rows
-    are walked down from level b, the identity in id order, as psi is:
-    W_{k-1,k} W_{k,b} = (b-k+1) W_{k-1,b} holds on orbits too. The
-    (k-1)-forms are those of the k-forms less one point, up[i, j] counts
-    the points x outside (k-1)-form i with i + {x} in k-orbit j, and
-    rows_(k-1) = up rows_k / (b-k+1), a division checked exact. Only the
-    b-listing is built. Refuses levels past _require_levels first.
+    that contain a set T of O_T, and the scalar column holds -1. One walk
+    up from the empty set gives the forms: the (k+1)-forms are those of
+    each k-form plus a point outside it, and up[i, j] counts the points x
+    outside k-form i with i + {x} in (k+1)-orbit j. The rows are walked
+    down from level b, the identity in id order, as psi is: W_{k,k+1}
+    W_{k+1,b} = (b-k) W_{k,b} holds on orbits too, so rows_k = up
+    rows_(k+1) / (b-k), a division checked exact. The b-listing, the one
+    listing built, only numbers the blocks. Refuses levels past
+    _require_levels, then the listing limit, before the first form.
     """
     levels = _require_levels(b, levels)
-    forms, ids, sizes = np.unique(_orbit_canon(n, p, subsets_colex(n, b)),
-                                  return_inverse=True, return_counts=True)
-    order = np.argsort(np.argsort(sizes, kind="stable"))  # smallest orbits first
-    rows = {b: np.eye(len(sizes), dtype=np.int64)[order]}
+    listing = subsets_colex(n, b)  # refuses past the listing limit before any form
     points = np.int64(1) << np.arange(n, dtype=np.int64)
-    kids = _orbit_canon(n, p, (forms[:, None] ^ points)[(forms[:, None] & points) != 0])
-    for k in range(b, min(levels, default=b), -1):
-        below = np.unique(kids)
-        inside = (below[:, None] & points) != 0
-        # each form less a point inside it, or with a point outside it
-        near = _orbit_canon(n, p, (below[:, None] ^ points).ravel()).reshape(inside.shape)
-        up = np.zeros((len(below), len(forms)), dtype=np.int64)
-        np.add.at(up, (np.nonzero(~inside)[0], np.searchsorted(forms, near[~inside])), 1)
-        d, c = up @ rows[k], b - k + 1
+    forms, pairs = [np.zeros(1, dtype=np.int64)], []  # the empty set's form
+    for k in range(b):
+        i, x = np.nonzero((forms[k][:, None] & points) == 0)  # each form, a point outside it
+        above, j = np.unique(_orbit_canon(n, p, forms[k][i] | points[x]), return_inverse=True)
+        forms.append(above)
+        pairs.append((i, j))
+    ids = np.searchsorted(forms[b], _orbit_canon(n, p, listing))
+    order = np.argsort(np.argsort(np.bincount(ids), kind="stable"))  # smallest orbits first
+    rows = {b: np.eye(len(order), dtype=np.int64)[order]}
+    for k in range(b - 1, min(levels, default=b) - 1, -1):
+        up = np.zeros((len(forms[k]), len(forms[k + 1])), dtype=np.int64)
+        np.add.at(up, pairs[k], 1)
+        d, c = up @ rows[k + 1], b - k
         if np.count_nonzero(d % c):
-            raise AssertionError(f"inexact division by {c} in orbit walk to level {k - 1}")
-        rows[k - 1], forms, kids = d // c, below, near[inside]
+            raise AssertionError(f"inexact division by {c} in orbit walk to level {k}")
+        rows[k] = d // c
     w = np.concatenate([rows[s] for s in levels] or [rows[b][:0]])  # no levels: no rows
     e = np.repeat(np.eye(len(levels), dtype=np.int64), [len(rows[s]) for s in levels], axis=0)
     return np.hstack([w, -e]), order[ids]

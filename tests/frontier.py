@@ -21,6 +21,7 @@ import sys
 CALLS = [
     "hemmer.find_hemmer_by_solver(12, 12, 3)",
     "hemmer.find_hemmer_by_solver(12, 12, 5)",
+    "hemmer.find_hemmer_by_solver(12, 12, 7)",
     "hemmer.construct_james(17, 8, 3)",
     "designs.find_t_design_fp(designs.DesignParams(24, 22, 11, 3), 1)",
     "designs.find_t_design_fp(designs.DesignParams(24, 22, 11, 5), 1)",

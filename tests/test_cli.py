@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -395,6 +396,16 @@ def test_construct_oversized_shape_exits_2():
     r = run_capped("construct", "--a", "27", "--b", "27", "--p", "3")
     assert r.returncode == 2
     assert "C(54, 27)" in r.stderr
+
+
+def test_construct_solve_refuses_before_the_orbit_walk():
+    # the orbit builder must refuse at the listing limit before its first
+    # canonical form: a walk up over 54 points first does not end within the cap
+    r = run_capped("construct", "--a", "27", "--b", "27", "--p", "3", "--method", "solve",
+                   timeout=20)
+    assert r.returncode == 2 and r.stdout == ""
+    assert re.fullmatch(r"error: C\(54, 27\) = \d+ subsets exceed the limit of 4194304\n",
+                        r.stderr), r.stderr
 
 
 @pytest.mark.parametrize("a,b,p", [
