@@ -61,11 +61,11 @@ of masks in a canonical form per orbit, bottom-up by sorting each tree
 node's child fields. _orbit_level_system lays out the Kramer-Mesner orbit
 matrix (E. S. Kramer and D. M. Mesner, Discrete Math. 15, 1976) on the
 requested levels in the same [W | -E] layout. It walks up once from the
-empty set for each level's forms, walks its rows down over them by the
-exact division of psi, and reads the b-listing only to number its
-blocks. Every GF(p) witness is solved on it: _level_element back-solves
-the eliminated orbit system from its scalar coordinates preset to level
-targets and expands the solution by orbit id.
+empty set for each level's forms and lifts, walks its rows down by one
+gather per point and the exact division of psi, and reads the b-listing
+only to number its blocks. Every GF(p) witness is solved on it:
+_level_element back-solves the eliminated orbit system from its scalar
+coordinates preset to level targets and expands the solution by orbit id.
 """
 
 from __future__ import annotations
@@ -635,35 +635,35 @@ def _orbit_level_system(n: int, b: int, p: int, levels) -> tuple[np.ndarray, np.
     an echelon solution, left zero, are the largest orbits and the
     expanded witness has a small support. Rows: per level s, one per
     s-orbit, ascending by form; entry (O_T, O_B) counts the blocks of O_B
-    that contain a set T of O_T, and the scalar column holds -1. One walk
-    up from the empty set gives the forms: the (k+1)-forms are those of
-    each k-form plus a point outside it, and up[i, j] counts the points x
-    outside k-form i with i + {x} in (k+1)-orbit j. The rows are walked
-    down from level b, the identity in id order, as psi is: W_{k,k+1}
-    W_{k+1,b} = (b-k) W_{k,b} holds on orbits too, so rows_k = up
-    rows_(k+1) / (b-k), a division checked exact. The b-listing, the one
-    listing built, only numbers the blocks. Refuses levels past
-    _require_levels, then the listing limit, before the first form.
+    that contain a set T of O_T, and the scalar column holds -1. One walk up
+    from the empty set gives the forms, each k-form plus each of its n - k
+    points outside, and lifts[k][t, i], the (k+1)-orbit of k-form i plus its
+    t-th point. Rows are walked down from level b, the identity in id order,
+    as psi is: W_{k,k+1} W_{k+1,b} = (b-k) W_{k,b}, so rows_k = sum_t
+    rows_(k+1)[lifts[k][t]] / (b-k), exact, the sum below 62 * 2^22 under
+    the listing limit. Only the requested levels' rows are kept. Refuses
+    levels past _require_levels, then the listing limit, before the first form.
     """
     levels = _require_levels(b, levels)
     listing = subsets_colex(n, b)  # refuses past the listing limit before any form
     points = np.int64(1) << np.arange(n, dtype=np.int64)
-    forms, pairs = [np.zeros(1, dtype=np.int64)], []  # the empty set's form
+    forms, lifts = [np.zeros(1, dtype=np.int64)], []  # the empty set's form
     for k in range(b):
         i, x = np.nonzero((forms[k][:, None] & points) == 0)  # each form, a point outside it
         above, j = np.unique(_orbit_canon(n, p, forms[k][i] | points[x]), return_inverse=True)
         forms.append(above)
-        pairs.append((i, j))
+        lifts.append(j.reshape(len(forms[k]), n - k).T)  # lifts[k][t, i]: form i, its t-th point
     ids = np.searchsorted(forms[b], _orbit_canon(n, p, listing))
     order = np.argsort(np.argsort(np.bincount(ids), kind="stable"))  # smallest orbits first
     rows = {b: np.eye(len(order), dtype=np.int64)[order]}
     for k in range(b - 1, min(levels, default=b) - 1, -1):
-        up = np.zeros((len(forms[k]), len(forms[k + 1])), dtype=np.int64)
-        np.add.at(up, pairs[k], 1)
-        d, c = up @ rows[k + 1], b - k
+        d, c = rows[k + 1][lifts[k][0]], b - k
+        for lift in lifts[k][1:]:  # one point at a time: a gather of all n - k holds n - k levels
+            d += rows[k + 1][lift]
         if np.count_nonzero(d % c):
             raise AssertionError(f"inexact division by {c} in orbit walk to level {k}")
-        rows[k] = d // c
+        rows[k] = np.floor_divide(d, c, out=d)
+        rows = {s: r for s, r in rows.items() if s in levels or s == k}  # and the one walked
     w = np.concatenate([rows[s] for s in levels] or [rows[b][:0]])  # no levels: no rows
     e = np.repeat(np.eye(len(levels), dtype=np.int64), [len(rows[s]) for s in levels], axis=0)
     return np.hstack([w, -e]), order[ids]

@@ -22,9 +22,11 @@ CALLS = [
     "hemmer.find_hemmer_by_solver(12, 12, 3)",
     "hemmer.find_hemmer_by_solver(12, 12, 5)",
     "hemmer.find_hemmer_by_solver(12, 12, 7)",
+    "hemmer.find_hemmer_by_solver(12, 11, 3)",
     "hemmer.construct_james(17, 8, 3)",
     "designs.find_t_design_fp(designs.DesignParams(24, 22, 11, 3), 1)",
     "designs.find_t_design_fp(designs.DesignParams(24, 22, 11, 5), 1)",
+    "designs.find_t_design_fp(designs.DesignParams(23, 16, 5, 3), 1)",
     "h1.brute_force_h1(7, 7, 3)",
     "h1.brute_force_h1(7, 7, 5)",
 ]

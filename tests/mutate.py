@@ -32,20 +32,22 @@ ROOT = Path(__file__).resolve().parent.parent
 ADDRESS_CAP = 3 << 30  # bytes
 TIME_CAP = 900  # seconds
 
-TABLOID, LINALG = "tabloid.py", "linalg.py"
+TABLOID, LINALG, DESIGNS = "tabloid.py", "linalg.py", "designs.py"
 ORBIT_SYSTEM = ["tests/test_tabloid.py::test_orbit_system_entries_are_psi_of_orbit_indicators",
                 "tests/test_tabloid.py::test_orbit_system_of_the_trivial_group_is_the_level_system"]
+ORBIT_CANON = ["tests/test_tabloid.py::test_orbit_canon_is_fixed_by_every_generator",
+               "tests/test_tabloid.py::test_orbit_canon_counts_the_orbits"]
 
 # the listing guard and the walk up of tabloid._orbit_level_system, verbatim
 GUARD = "    listing = subsets_colex(n, b)  # refuses past the listing limit before any form\n"
 WALK = """\
     points = np.int64(1) << np.arange(n, dtype=np.int64)
-    forms, pairs = [np.zeros(1, dtype=np.int64)], []  # the empty set's form
+    forms, lifts = [np.zeros(1, dtype=np.int64)], []  # the empty set's form
     for k in range(b):
         i, x = np.nonzero((forms[k][:, None] & points) == 0)  # each form, a point outside it
         above, j = np.unique(_orbit_canon(n, p, forms[k][i] | points[x]), return_inverse=True)
         forms.append(above)
-        pairs.append((i, j))
+        lifts.append(j.reshape(len(forms[k]), n - k).T)  # lifts[k][t, i]: form i, its t-th point
 """
 
 MUTANTS = [
@@ -53,8 +55,15 @@ MUTANTS = [
      "np.nonzero((forms[k][:, None] & points) == 0)",
      "np.nonzero((forms[k][:, None] & points) >= 0)", ORBIT_SYSTEM),
     ("walk-divisor-off-by-one", TABLOID,
-     "d, c = up @ rows[k + 1], b - k\n",
-     "d, c = up @ rows[k + 1], b - k + 1\n", ORBIT_SYSTEM),
+     "d, c = rows[k + 1][lifts[k][0]], b - k\n",
+     "d, c = rows[k + 1][lifts[k][0]], b - k + 1\n", ORBIT_SYSTEM),
+    ("walk-skips-a-lift", TABLOID,
+     "d, c = rows[k + 1][lifts[k][0]], b - k\n",
+     "d, c = 0 * rows[k + 1][lifts[k][0]], b - k\n", ORBIT_SYSTEM),
+    ("walk-keeps-every-level", TABLOID,
+     "        rows = {s: r for s, r in rows.items() if s in levels or s == k}  # and the one walked\n",
+     "",
+     ["tests/test_tabloid.py::test_orbit_walk_holds_only_the_requested_levels"]),
     ("orbit-ids-by-form-alone", TABLOID,
      'order = np.argsort(np.argsort(np.bincount(ids), kind="stable"))',
      "order = np.arange(len(forms[b]))",
@@ -68,6 +77,31 @@ MUTANTS = [
      "return max(chunk, 1), dtype, _narrowest_int(bound)\n",
      "return max(chunk, 1), dtype, _narrowest_int(bound >> 8)\n",
      ["tests/test_linalg.py::test_matmul_mod_routes"]),
+    ("orbit-group-of-s-p", TABLOID,
+     "m, tree, first, k = p - 1, [], 0, 0\n",
+     "m, tree, first, k = p, [], 0, 0\n",
+     ORBIT_CANON + ["tests/test_h1.py::test_orbit_gap_matches_brute_force"]),
+    ("canon-sorts-the-root-only", TABLOID,
+     "            width = 1\n            for fan in fans:\n",
+     "            width = size // fans[-1]\n            for fan in fans[-1:]:\n", ORBIT_CANON),
+    ("t-design-unchecked", DESIGNS,
+     "    if u is not None and (psi(u, t) != target % p).any():\n",
+     "    if False:\n",
+     ["tests/test_designs.py::test_find_t_design_checks_its_solution"]),
+    ("psi-walk-unguarded", TABLOID,
+     "    _require_walkable(n, b, v)\n", "",
+     ["tests/test_tabloid.py::test_psi_refuses_a_walk_past_the_listing_limit"]),
+    ("drop-plan-offsets-swapped", TABLOID,
+     "        dst = np.concatenate([dst0, own, dst1 + below])\n"
+     "        src = np.concatenate([src0, own + without, src1 + without])\n",
+     "        dst = np.concatenate([dst0, own, dst1 + without])\n"
+     "        src = np.concatenate([src0, own + below, src1 + below])\n",
+     ["tests/test_tabloid.py::test_drop_plan_pairs_are_the_inclusion_pairs",
+      "tests/test_tabloid.py::test_level_walk_needs_no_rank_or_listing"]),
+    ("psi-int-keeps-every-level", TABLOID,
+     "    return deque(_psi_walk(n, b, vec, v), maxlen=1)[0]\n",
+     "    return psi_levels(n, b, vec, v)[0]\n",
+     ["tests/test_tabloid.py::test_psi_int_holds_one_level_of_its_walk"]),
 ]
 
 

@@ -623,6 +623,24 @@ def test_orbit_system_never_sorts_the_blocks():
     assert peak < 4 * listing.nbytes, (peak, listing.nbytes)
 
 
+def test_orbit_walk_holds_only_the_requested_levels():
+    # levels 15, 13 and 7 of 16-blocks on 23 points: the walk down gathers
+    # its rows one point at a time and keeps only the levels asked for, so
+    # the build peaks at about 22 MiB. A dense |F_k| x |F_k+1| incidence
+    # matrix per step peaked at 42.6 MiB, and rows kept for every level the
+    # walk passes at 38.3 MiB
+    subsets_colex(23, 16)
+    levels = _kept_levels(16, 3)
+    assert levels == [7, 13, 15]
+    tracemalloc.start()
+    try:
+        _orbit_level_system(23, 16, 3, levels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20, peak
+
+
 def test_psi_int_holds_one_level_of_its_walk():
     # levels 13 down to 5 of 18 points, 2.03 MB of int64 in all; the walk
     # holds the level it reached, the next one before and after its
