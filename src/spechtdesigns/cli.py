@@ -11,8 +11,8 @@ verify reads it back through tabloid.element_from_text, which reads the
 digit runs of a text as an element and takes it when element_to_text
 writes that element back byte for byte, and reads any other text as
 json.loads and element_from_json would, with their errors.
-Exit codes: 0 success, 2 invalid input or an input too large to hold in
-memory, 1 a constructed object failed its own verification.
+Exit codes: 0 success, 2 invalid input or an input past a byte or size
+limit, 1 a constructed object failed its own verification.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .hemmer import (
     find_hemmer_by_solver,
     verify_hemmer,
 )
-from .tabloid import _COLUMN_BUDGET, element_from_text, element_to_json, element_to_text
+from .tabloid import element_from_text, element_to_json, element_to_text
 
 __all__ = ["main", "build_parser"]
 
@@ -92,13 +92,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("poset", _cmd_poset, "digit-compatible levels and components")
 
-    sp = command("h1dim", _cmd_h1dim, "brute-force quotient dimension")
-    sp.add_argument("--budget", type=int, default=_COLUMN_BUDGET)
+    command("h1dim", _cmd_h1dim, "brute-force quotient dimension")
 
     sp = command("survey", _cmd_survey, "CSV of brute force vs prediction", shape=False)
     sp.add_argument("--nmax", type=int, required=True, help="max a + b")
     sp.add_argument("--p", type=_int_list, required=True, help="primes, e.g. 3,5")
-    sp.add_argument("--budget", type=int, default=_COLUMN_BUDGET)
     sp.add_argument("--out", help="write CSV to this file")
 
     return ap
@@ -179,11 +177,11 @@ def _cmd_poset(args) -> None:
 
 
 def _cmd_h1dim(args) -> None:
-    _emit(args, brute_force_h1(args.a, args.b, args.p, budget=args.budget).to_json())
+    _emit(args, brute_force_h1(args.a, args.b, args.p).to_json())
 
 
 def _cmd_survey(args) -> None:
-    text = survey_csv(survey(args.nmax, args.p, budget=args.budget))
+    text = survey_csv(survey(args.nmax, args.p))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -8,13 +8,15 @@ It eliminates only the levels that the composition identity
 W_{s,t} W_{t,b} = C(b-s, t-s) W_{s,b} does not imply, testing the
 binomials with exact integers and never with the digit criteria.
 check_main_theorem() sweeps a range and reports any disagreement between
-the two.
+the two. A system whose byte estimate passes tabloid._MAX_BYTES (256 MiB,
+every n <= 16 for p <= 127) is refused before it is allocated.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, fields
 
 from .linalg import _require_word_prime
@@ -26,10 +28,10 @@ from .numtheory import (
     require_odd_prime,
 )
 from .tabloid import (
-    _COLUMN_BUDGET,
     Partition2,
     _kept_echelon,
-    _require_columns,
+    _kept_levels,
+    _require_system,
     f_lambda,
     james_check,
     specht_membership,
@@ -121,7 +123,7 @@ class H1Report:
         return {**_fields_json(self), "match": self.match}
 
 
-def brute_force_h1(a: int, b: int, p: int, budget: int = _COLUMN_BUDGET) -> H1Report:
+def brute_force_h1(a: int, b: int, p: int) -> H1Report:
     """Compute the quotient dimension by rank alone.
 
     D = {u : psi_v(u) constant for v = 0..b-1} contains both the kernel
@@ -132,16 +134,13 @@ def brute_force_h1(a: int, b: int, p: int, budget: int = _COLUMN_BUDGET) -> H1Re
     system holds only the levels in _kept_levels(b, p):
     constancy (or vanishing) there forces it at every level, so both
     dimensions equal the full system's.
-
-    budget caps C(n, b); larger instances raise before allocating.
     """
     Partition2(a, b)
     a, b, p = int(a), int(b), _require_word_prime(p)
     n = a + b
-    ncols = _require_columns(n, b, budget)
     system, pivots, e = _kept_echelon(n, b, p)
     dim_D = system.shape[1] - len(pivots)
-    dim_S = ncols - e
+    dim_S = math.comb(n, b) - e
     f_in_S = specht_membership(f_lambda(a, b, p))
     if f_in_S != james_check((a, b), p):
         raise AssertionError(f"membership of the all-ones element disagrees with "
@@ -153,20 +152,19 @@ def brute_force_h1(a: int, b: int, p: int, budget: int = _COLUMN_BUDGET) -> H1Re
     )
 
 
-def survey(n_max: int, primes, budget: int = _COLUMN_BUDGET) -> list[H1Report]:
+def survey(n_max: int, primes) -> list[H1Report]:
     """Brute-force reports for every (a, b) with a + b <= n_max, each prime.
 
-    The primes, then the shapes' column counts in sweep order, are checked
-    before the first solve, so a refusal comes at once, not after every
-    shape before it is solved; a column refusal names the shape the sweep
-    would have stopped at.
+    The primes, then every system in sweep order, are checked before the
+    first solve, so a refusal comes at once, not after every shape before
+    it is solved, and names the system the sweep would have stopped at.
     """
     _require_ints((n_max,), "shape sizes")
     primes = [_require_word_prime(p) for p in primes]
-    if primes:
+    for p in primes:
         for a, b in _shapes(n_max):
-            _require_columns(a + b, b, budget)
-    return [brute_force_h1(a, b, p, budget=budget) for p in primes for a, b in _shapes(n_max)]
+            _require_system(a + b, b, _kept_levels(b, p), p)
+    return [brute_force_h1(a, b, p) for p in primes for a, b in _shapes(n_max)]
 
 
 def _shapes(n_max: int):
@@ -176,7 +174,7 @@ def _shapes(n_max: int):
             yield n - b, b
 
 
-def check_main_theorem(n_max: int, primes, budget: int = _COLUMN_BUDGET) -> list[H1Report]:
+def check_main_theorem(n_max: int, primes) -> list[H1Report]:
     """Reports where brute force contradicts the classification.
 
     A report is a discrepancy when the quotient misses the prediction or
@@ -184,7 +182,7 @@ def check_main_theorem(n_max: int, primes, budget: int = _COLUMN_BUDGET) -> list
     means full agreement over the range.
     """
     bad = []
-    for r in survey(n_max, primes, budget=budget):
+    for r in survey(n_max, primes):
         gap = 2 if r.kind == "pointed" else 1
         if not r.match or r.dim_D - r.dim_S != gap:
             bad.append(r)

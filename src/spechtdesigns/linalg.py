@@ -110,8 +110,7 @@ class MatFp:
 
 # Columns per elimination panel. On the 84 sweep oracle systems and at
 # brute_force_h1(7, 7, 3) 128 ties 192 or is a few percent faster, and
-# 64 and 256 are slower. The work array is kept rows x 256 (int16 for
-# p <= 7): at most 0.23 MB at (7, 6, 3) and 0.55 MB at (7, 7, 3).
+# 64 and 256 are slower.
 _PANEL = 128
 # Bytes of one column slab's temporaries in a modular product, counted in
 # the types used (float32 and int16 for p <= 13 in the elimination). This
@@ -142,6 +141,15 @@ def _lazy(p: int) -> bool:
     """Whether (_PANEL (p-1)^2 + p) p fits in int64, so that _factor_panel
     may leave rows unreduced between updates."""
     return (_PANEL * (p - 1) ** 2 + p) * p <= _INT64_MAX
+
+
+def _eliminate_bytes(rows: int, p: int) -> int:
+    """Estimated bytes of _eliminate's temporaries mod p on rows rows: every
+    row by 2 _PANEL columns of _factor_panel's work type, and _SLAB_BYTES.
+    The work array holds only a panel's nonzero rows (at most 0.55 MB at
+    (7, 7, 3)), which leaves room for its updates, moved rows and products."""
+    work = _narrowest_int((_PANEL * (p - 1) ** 2 + p) * p) if _lazy(p) else np.int64
+    return rows * 2 * _PANEL * np.dtype(work).itemsize + _SLAB_BYTES
 
 
 def _product_route(p: int, inner: int) -> tuple[int, type, type]:

@@ -44,13 +44,14 @@ walk before its first step.
 Every linear question about the level maps is asked of one matrix, the
 stacked system [W_{v,b} | -E] over the requested levels v, with one
 scalar column per level (R. M. Wilson, Europ. J. Combin. 11, 1990). This
-module owns its layout, and one routine writes it over all C(n, b) blocks
-in a given integer type: constant_level_system returns it in int64, and
-the integer route takes views of its columns; _kept_echelon writes it in
-the narrowest type that holds p - 1 (int8 for p <= 127) and eliminates it
-for the oracle, specht_dim and brute_force_h1. Over
-GF(p) most levels of that system are implied by the others through the
-composition identity; _kept_levels names the ones that are not.
+module owns its layout, and one routine writes it over all C(n, b) blocks:
+constant_level_system in int64, whose columns the integer route takes as
+views, and _kept_echelon in residues mod p in the narrowest type that holds
+p - 1 (int8 for p <= 127), which it eliminates for the oracle, specht_dim
+and brute_force_h1. Each is refused before it is allocated when its byte
+estimate passes _MAX_BYTES (_require_system). Over GF(p) most levels of
+that system are implied by the others through the composition identity;
+_kept_levels names the ones that are not.
 
 The orbit layer shrinks that system for a group G <= S_n whose order is
 a unit mod p (_orbit_tree: iterated wreath products of S_(p-1), one per
@@ -81,7 +82,8 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .linalg import _eliminate, _int64_array, _kernel_vector, _narrowest_int, _require_word_prime
+from .linalg import (_eliminate, _eliminate_bytes, _int64_array, _kernel_vector, _narrowest_int,
+                     _require_word_prime)
 from .numtheory import _int_vector, _require_ints, all_binoms_divisible, require_odd_prime
 
 __all__ = [
@@ -107,12 +109,10 @@ _MAX_GROUND = 62  # masks live in int64
 # Longest subset listing or element vector accepted: about 12 times the
 # largest shape in the tests and the benchmark, C(21, 10) = 352716.
 _MAX_SUBSETS = 1 << 22
-# Most cells in one level system: 1 GiB in int64, 128 MiB in the oracle's
-# int8. Only the oracle builds one, and this guards it where no column
-# budget does: specht_dim, and brute_force_h1 under a raised budget, which
-# refuses the 15808 x 12872 kept-level system of (8, 8, 3). Witnesses are
-# solved on orbit systems.
-_MAX_CELLS = 1 << 27
+# Most bytes of one level system and its elimination's temporaries. For
+# p <= 127 it admits every oracle system with n <= 16, the largest (8, 8, 3)
+# at 15,808 x 12,872 int8 cells, and refuses (10, 7, 3) and (9, 8, p).
+_MAX_BYTES = 1 << 28
 
 
 def _require_listable(n: int, k: int) -> int:
@@ -125,19 +125,6 @@ def _require_listable(n: int, k: int) -> int:
     if size > _MAX_SUBSETS:
         raise ValueError(f"C({n}, {k}) = {size} subsets exceed the limit of {_MAX_SUBSETS}")
     return size
-
-
-# Default column budget of brute_force_h1 and survey, the oracle's solves.
-_COLUMN_BUDGET = 4000
-
-
-def _require_columns(n: int, b: int, budget: int) -> int:
-    """Return C(n, b); refuse a budget that is not an int, then C(n, b) above it."""
-    _require_ints((budget,), "column budgets")
-    ncols = math.comb(n, b)
-    if ncols > budget:
-        raise ValueError(f"C({n}, {b}) = {ncols} exceeds the budget of {budget} columns")
-    return ncols
 
 
 @dataclass(frozen=True, slots=True)
@@ -491,25 +478,36 @@ def constant_level_system(n: int, b: int, levels) -> np.ndarray:
     holds -1. A kernel vector (u, c) satisfies psi_v(u) = c_v * ones for
     each level v; u determines c, so the kernel dimension equals the
     dimension of the constant-level space.
-
-    Refuses levels past _require_levels, then more than _MAX_CELLS cells,
-    then allocates the array once and writes each block in place: every
-    v-combination of member positions is one scatter, over all b-subsets
-    at once, to the _rank of the v-subset at those positions.
     """
-    return _level_system(n, b, levels, np.int64)
+    return _level_system(n, b, levels)
 
 
-def _level_system(n: int, b: int, levels, dtype: type) -> np.ndarray:
-    """constant_level_system's array, allocated and written in dtype."""
-    lv = _require_levels(b, levels)
-    ncols = _require_listable(n, b)
+def _require_system(n: int, b: int, levels, p: int | None = None):
+    """The levels, heights, C(n, b) and type of _level_system(n, b, levels, p);
+    refuses levels past _require_levels, C(n, b) past _require_listable, then
+    more than _MAX_BYTES for the array and, with p, _eliminate_bytes."""
+    lv, ncols = _require_levels(b, levels), _require_listable(n, b)
     heights = [math.comb(n, v) for v in lv]
     rows, width = sum(heights), ncols + len(lv)
-    if rows * width > _MAX_CELLS:
-        raise ValueError(f"level system of {rows} rows x {width} columns = {rows * width} "
-                         f"cells exceeds the limit of {_MAX_CELLS}")
-    out = np.zeros((rows, width), dtype=dtype)
+    dtype = np.dtype(np.int64 if p is None else _narrowest_int(p - 1))
+    nbytes = rows * width * dtype.itemsize + (0 if p is None else _eliminate_bytes(rows, p))
+    if nbytes > _MAX_BYTES:
+        mod = "" if p is None else f" with its elimination mod {p}"
+        raise ValueError(f"level system of n={n}, b={b}: {rows} rows x {width} columns in "
+                         f"{dtype}{mod} needs {nbytes} bytes, over the limit of {_MAX_BYTES}")
+    return lv, heights, ncols, dtype
+
+
+def _level_system(n: int, b: int, levels, p: int | None = None) -> np.ndarray:
+    """constant_level_system's array, or with p in residues mod p for
+    _eliminate in the narrowest type that holds p - 1 (int8 for p <= 127),
+    refused as _require_system refuses it. The array is allocated once and
+    each block written in place: every v-combination of member positions is
+    one scatter, over all b-subsets at once, to the _rank of the v-subset at
+    those positions."""
+    lv, heights, ncols, dtype = _require_system(n, b, levels, p)
+    width = ncols + len(lv)
+    out = np.zeros((sum(heights), width), dtype=dtype)
     flat = out.reshape(-1)
     cols = np.arange(ncols)
     rows = _members(n, b, cols)
@@ -517,7 +515,7 @@ def _level_system(n: int, b: int, levels, dtype: type) -> np.ndarray:
     for k, (v, height) in enumerate(zip(lv, heights)):
         for pos in combinations(range(b), v):
             flat[(top + _rank(rows[:, list(pos)])) * width + cols] = 1
-        out[top : top + height, ncols + k] = -1
+        out[top : top + height, ncols + k] = -1 if p is None else p - 1
         top += height
     return out
 
@@ -543,19 +541,16 @@ def _kept_echelon(n: int, b: int, p: int) -> tuple[np.ndarray, list[int], int]:
     """The level system on _kept_levels(b, p), eliminated in place: the
     oracle's system, for specht_dim and brute_force_h1.
 
-    The layout is written straight into the narrowest type that holds
-    p - 1 (_narrowest_int: int8 for p <= 127), where the 0/1 element
-    columns are already residues and only the -1 scalar entries are
-    reduced, so that array is the one copy. Panels run left to right, so
+    The layout is written straight in residues mod p (_level_system), so
+    that array is the one copy. Panels run left to right, so
     the pivots among the first C(n, b) columns are those of the element
     columns alone. Returns the array, its pivot columns and e, their
     count: the first pivot row on a scalar column. For a >= b, James'
     kernel intersection theorem gives dim S = C(n, b) - C(n, b-1), so e
     must be C(n, b-1); a count that is not raises AssertionError.
     """
-    ncols = math.comb(n, b)
-    system = _level_system(n, b, _kept_levels(b, p), _narrowest_int(p - 1))
-    system[:, ncols:] %= p
+    ncols = _require_listable(n, b)  # before _kept_levels, whose binomials grow with b
+    system = _level_system(n, b, _kept_levels(b, p), p)
     m, pivots = _eliminate(system, p)
     e, want = bisect_left(pivots, ncols), math.comb(n, b - 1)
     if e != want:
@@ -711,9 +706,9 @@ def specht_dim(a: int, b: int, p: int) -> int:
     Only the levels in _kept_levels(b, p) are eliminated; they imply the
     rest. The kernel rank is e, _kept_echelon's count of element pivots.
     """
-    lam = Partition2(a, b)
-    p = _require_word_prime(p)
-    return math.comb(lam.n, b) - _kept_echelon(lam.n, b, p)[2]
+    lam, p = Partition2(a, b), _require_word_prime(p)
+    e = _kept_echelon(lam.n, b, p)[2]  # refuses n past the mask width before C(n, b)
+    return math.comb(lam.n, b) - e
 
 
 def _check_partition(parts) -> tuple[int, ...]:

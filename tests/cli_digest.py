@@ -39,8 +39,8 @@ REFUSALS = [
     ["construct", "--a", "1000000006", "--b", "1000000006", "--p", "1000000007"],
     ["construct", "--a", "4", "--b", "2", "--p", "3", "--method", "james"],
     ["poset", "--a", "1000000", "--b", "1000000", "--p", "3"],
-    ["h1dim", "--a", "8", "--b", "8", "--p", "3", "--budget", "13000"],
-    ["survey", "--nmax", "15", "--p", "3"],
+    ["h1dim", "--a", "9", "--b", "8", "--p", "3"],
+    ["survey", "--nmax", "17", "--p", "3"],
     ["design", "--g", "9", "--b", "3", "--t", "1"],
     ["design", "--g", "16", "--b", "6", "--t", "2", "--mode", "integral",
      "--mu", "8008,3003,1001"],

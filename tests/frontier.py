@@ -29,6 +29,8 @@ CALLS = [
     "designs.find_t_design_fp(designs.DesignParams(23, 16, 5, 3), 1)",
     "h1.brute_force_h1(7, 7, 3)",
     "h1.brute_force_h1(7, 7, 5)",
+    "h1.brute_force_h1(8, 8, 3)",
+    "h1.brute_force_h1(9, 7, 3)",
 ]
 
 # ru_maxrss is in kB on Linux

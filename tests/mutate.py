@@ -32,11 +32,12 @@ ROOT = Path(__file__).resolve().parent.parent
 ADDRESS_CAP = 3 << 30  # bytes
 TIME_CAP = 900  # seconds
 
-TABLOID, LINALG, DESIGNS = "tabloid.py", "linalg.py", "designs.py"
+TABLOID, LINALG, DESIGNS, H1 = "tabloid.py", "linalg.py", "designs.py", "h1.py"
 ORBIT_SYSTEM = ["tests/test_tabloid.py::test_orbit_system_entries_are_psi_of_orbit_indicators",
                 "tests/test_tabloid.py::test_orbit_system_of_the_trivial_group_is_the_level_system"]
 ORBIT_CANON = ["tests/test_tabloid.py::test_orbit_canon_is_fixed_by_every_generator",
                "tests/test_tabloid.py::test_orbit_canon_counts_the_orbits"]
+BYTE_GUARD = ["tests/test_tabloid.py::test_level_system_cell_guard"]
 
 # the listing guard and the walk up of tabloid._orbit_level_system, verbatim
 GUARD = "    listing = subsets_colex(n, b)  # refuses past the listing limit before any form\n"
@@ -102,6 +103,16 @@ MUTANTS = [
      "    return deque(_psi_walk(n, b, vec, v), maxlen=1)[0]\n",
      "    return psi_levels(n, b, vec, v)[0]\n",
      ["tests/test_tabloid.py::test_psi_int_holds_one_level_of_its_walk"]),
+    ("byte-guard-counts-cells", TABLOID,
+     "    nbytes = rows * width * dtype.itemsize + ",
+     "    nbytes = rows * width + ", BYTE_GUARD),
+    ("byte-guard-off-by-one", TABLOID,
+     "    if nbytes > _MAX_BYTES:\n",
+     "    if nbytes >= _MAX_BYTES:\n", BYTE_GUARD),
+    ("survey-skips-its-check", H1,
+     "            _require_system(a + b, b, _kept_levels(b, p), p)\n",
+     "            pass\n",
+     ["tests/test_h1.py::test_survey_refuses_before_it_solves"]),
 ]
 
 

@@ -276,10 +276,6 @@ def test_h1dim_command(capsys):
     assert rc == 0
     doc = json.loads(out)
     assert doc["dim_S"] == 5 and doc["dim_D"] == 7 and doc["match"] is True
-    rc, _, err = run_cli(
-        capsys, "h1dim", "--a", "14", "--b", "4", "--p", "3", "--budget", "100"
-    )
-    assert rc == 2 and "budget" in err
 
 
 def test_survey_command(tmp_path, capsys):
@@ -379,10 +375,12 @@ def test_classify_huge_composite_exits_2():
 
 
 def test_survey_over_budget_exits_2_at_once():
-    # it exited 2 with this message only after solving every shape with n <= 14
-    r = run_capped("survey", "--nmax", "15", "--p", "3", timeout=20)
+    # solving every shape with n <= 16 before this refusal takes over 10 s
+    r = run_capped("survey", "--nmax", "17", "--p", "3", timeout=10)
     assert r.returncode == 2 and r.stdout == ""
-    assert r.stderr == "error: C(15, 6) = 5005 exceeds the budget of 4000 columns\n"
+    assert r.stderr == ("error: level system of n=17, b=7: 14756 rows x 19450 columns in int8 "
+                        "with its elimination mod 3 needs 296656424 bytes, over the limit of "
+                        "268435456\n")
 
 
 def test_design_integral_oversized_exits_2():
@@ -433,11 +431,12 @@ def test_poset_huge_shape_exits_2():
 
 
 def test_h1dim_oversized_level_system_exits_2():
-    # under a raised budget the kept-level system of (8, 8, 3) would be
-    # 15808 x 12872 int64 cells, 1.6 GB per copy
-    r = run_capped("h1dim", "--a", "8", "--b", "8", "--p", "3", "--budget", "13000", timeout=20)
-    assert r.returncode == 2
-    assert "15808 rows x 12872 columns = 203480576 cells" in r.stderr
+    # the kept-level system of (9, 8, 3) would be 25636 x 24312 int8 cells,
+    # 623 MB before its elimination's temporaries
+    r = run_capped("h1dim", "--a", "9", "--b", "8", "--p", "3", timeout=20)
+    assert r.returncode == 2 and r.stdout == ""
+    assert "25636 rows x 24312 columns in int8 with its elimination mod 3 needs 638485216 bytes" \
+        in r.stderr
 
 
 def test_design_on_orbits_answers_past_the_cell_limit():

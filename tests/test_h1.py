@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -107,11 +108,6 @@ def test_boundary_shapes_oracle():
     assert r.match
 
 
-def test_brute_force_budget():
-    with pytest.raises(ValueError):
-        brute_force_h1(14, 4, 3, budget=1000)
-
-
 def test_check_main_theorem_small_range():
     assert check_main_theorem(9, (3, 5)) == []
 
@@ -132,14 +128,17 @@ def test_survey_refuses_before_it_solves(monkeypatch):
     # each refusal came only after every shape before it was solved
     solved = []
     real = h1.brute_force_h1
-    monkeypatch.setattr(h1, "brute_force_h1", lambda *args, **kw: solved.append(args) or real(*args, **kw))
-    with pytest.raises(ValueError, match=r"^C\(15, 6\) = 5005 exceeds the budget of 4000 columns$"):
-        survey(15, [3])
+    monkeypatch.setattr(h1, "brute_force_h1", lambda *args: solved.append(args))
+    with pytest.raises(ValueError, match=r"^level system of n=17, b=7: 14756 rows x 19450 "
+                                         r"columns in int8 with its elimination mod 3 needs "
+                                         r"296656424 bytes, over the limit of 268435456$"):
+        survey(17, [3])
     with pytest.raises(ValueError, match="prime >= 3, got 4"):
         survey(14, [3, 4])
     with pytest.raises(ValueError, match="too large"):
         check_main_theorem(6, [3, 2147483659])
     assert solved == []
+    monkeypatch.setattr(h1, "brute_force_h1", lambda *args: solved.append(args) or real(*args))
     assert len(survey(4, [3])) == len(solved) == 4
 
 
@@ -205,8 +204,7 @@ def test_brute_force_holds_one_copy_of_its_system():
     # leaves 0.84 MB; a work array over all 1,573 rows below the panel with
     # float64 slabs and an int64 accumulator take 6.36 MB.
     n, b, p = 13, 6, 3
-    system = tabloid._level_system(n, b, tabloid._kept_levels(b, p), linalg._narrowest_int(p - 1))
-    system %= p
+    system = tabloid._level_system(n, b, tabloid._kept_levels(b, p), p)
     brute_force_h1(n - b, b, p)  # warm the subset listings
     tracemalloc.start()
     try:
@@ -219,6 +217,43 @@ def test_brute_force_holds_one_copy_of_its_system():
         tracemalloc.stop()
     assert work < 1.25 * system.nbytes, (work, system.nbytes)
     assert peak < 1.25 * system.nbytes + work, (peak, system.nbytes, work)
+    assert work <= linalg._eliminate_bytes(system.shape[0], p), work
+
+
+def test_oracle_peak_is_within_its_byte_estimate(monkeypatch):
+    # a limit one byte below brute_force_h1's tracemalloc peak refuses the
+    # shape, so the estimate it checks is at least that peak
+    for a, b, p in ((7, 6, 3), (7, 6, 5), (7, 7, 3)):
+        tracemalloc.start()
+        try:
+            brute_force_h1(a, b, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(tabloid, "_MAX_BYTES", peak - 1)
+        with pytest.raises(ValueError, match=rf"needs \d+ bytes, over the limit of {peak - 1}$"):
+            brute_force_h1(a, b, p)
+        monkeypatch.undo()
+    # a refused system is refused before it is allocated: 623 MB in int8
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"25636 rows x 24312 columns in int8 .* needs "
+                                             r"638485216 bytes"):
+            specht_dim(9, 8, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+def test_oracle_refuses_a_huge_shape_at_once():
+    # C(2 * 10^6, 10^6), then the kept levels of b = 10^6, took 35-50 s
+    # before the mask width refused n
+    for call in (lambda: specht_dim(10**6, 10**6, 3), lambda: brute_force_h1(10**6, 10**6, 3)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^need 0 <= k <= n <= 62, got n=2000000"):
+            call()
+        assert time.perf_counter() - start < 5
 
 
 def test_brute_force_requests_kept_levels(monkeypatch):
@@ -227,9 +262,10 @@ def test_brute_force_requests_kept_levels(monkeypatch):
     requested = []
     layout = tabloid._level_system
 
-    def record(n, b, levels, dtype):
-        requested.append((list(levels), dtype))
-        return layout(n, b, levels, dtype)
+    def record(n, b, levels, p=None):
+        out = layout(n, b, levels, p)
+        requested.append((list(levels), out.dtype))
+        return out
 
     monkeypatch.setattr(tabloid, "_level_system", record)
     brute_force_h1(7, 6, 3)
@@ -269,13 +305,8 @@ def test_numpy_arguments_give_the_same_json():
     assert classify(5, 2, np.int64(3)) == classify(5, 2, 3)
 
 
-def test_sizes_and_budgets_must_be_ints():
-    # survey(True, [3]) returned [], budget=4000.5 ran, budget=True was read
-    # as one column, and 12.5 or None raised TypeError
-    for call in (lambda: survey(True, [3]), lambda: survey(12.5, [3]),
-                 lambda: survey(5, [3], budget=None),
-                 lambda: brute_force_h1(4, 2, 3, budget=4000.5),
-                 lambda: brute_force_h1(4, 2, 3, budget=True)):
+def test_sizes_must_be_ints():
+    # survey(True, [3]) returned [], and 12.5 raised TypeError
+    for call in (lambda: survey(True, [3]), lambda: survey(12.5, [3])):
         with pytest.raises(ValueError, match="must be ints"):
             call()
-    assert brute_force_h1(4, 2, 3, budget=np.int64(15)) == brute_force_h1(4, 2, 3)

@@ -495,14 +495,21 @@ def test_kept_levels_are_b_minus_powers_of_p():
 
 def test_level_system_cell_guard(monkeypatch):
     # (16, 8) at every level: 26333 rows x 12878 columns, refused before allocating
-    with pytest.raises(ValueError, match="26333 rows x 12878 columns = 339116374 cells"):
+    with pytest.raises(ValueError, match="26333 rows x 12878 columns in int64 needs 2712930992 "
+                                         "bytes, over the limit of 268435456$"):
         constant_level_system(16, 8, range(8))
-    cells = 16 * 13  # constant_level_system(5, 3, [0, 1, 2])
-    monkeypatch.setattr(tabloid, "_MAX_CELLS", cells)
-    assert constant_level_system(5, 3, [0, 1, 2]).size == cells
-    monkeypatch.setattr(tabloid, "_MAX_CELLS", cells - 1)
-    with pytest.raises(ValueError, match="exceeds the limit"):
+    nbytes = 16 * 13 * 8  # constant_level_system(5, 3, [0, 1, 2])
+    monkeypatch.setattr(tabloid, "_MAX_BYTES", nbytes)
+    assert constant_level_system(5, 3, [0, 1, 2]).nbytes == nbytes
+    monkeypatch.setattr(tabloid, "_MAX_BYTES", nbytes - 1)
+    with pytest.raises(ValueError, match=f"needs {nbytes} bytes, over the limit of {nbytes - 1}$"):
         constant_level_system(5, 3, [0, 1, 2])
+    # bytes in each system's own type: at 8 MiB the oracle's int8 system of
+    # (7, 6, 3) fits with its elimination, and the same levels in int64 do not
+    monkeypatch.setattr(tabloid, "_MAX_BYTES", 8 << 20)
+    assert tabloid._level_system(13, 6, [3, 5], 3).dtype == np.int8
+    with pytest.raises(ValueError, match="1573 rows x 1718 columns in int64 needs 21619312 bytes"):
+        constant_level_system(13, 6, [3, 5])
 
 
 def test_level_system_refuses_levels_outside_0_to_b():
